@@ -62,7 +62,7 @@ func BenchmarkFig1ParserLoop(b *testing.B) {
 	var st harness.Fig1Stats
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = harness.Fig1Parser(benchScale)
+		st, err = harness.Fig1Parser(benchScale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func BenchmarkFig6LoopCoverage(b *testing.B) {
 	var parserTotal, vortexTotal float64
 	for i := 0; i < b.N; i++ {
 		for _, name := range bench.Names() {
-			pts, err := harness.LoopCoverage(name, benchScale)
+			pts, err := harness.LoopCoverage(name, benchScale, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -187,7 +187,7 @@ func BenchmarkAblationRecovery(b *testing.B) {
 	b.ReportAllocs()
 	var srx, squash float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblateRecovery("parser", benchScale)
+		rows, err := harness.Sweep(context.Background(), "parser", benchScale, harness.RecoveryVariants(), harness.GuardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func BenchmarkAblationRegCheck(b *testing.B) {
 	b.ReportAllocs()
 	var val, upd float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblateRegCheck("mcf", benchScale)
+		rows, err := harness.Sweep(context.Background(), "mcf", benchScale, harness.RegCheckVariants(), harness.GuardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func BenchmarkAblationSRB(b *testing.B) {
 	sizes := []int{16, 64, 256, 1024}
 	var spd []float64
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblateSRB("parser", benchScale, sizes)
+		rows, err := harness.Sweep(context.Background(), "parser", benchScale, harness.SRBVariants(sizes), harness.GuardOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -296,7 +296,7 @@ func printFig6(scale int, cache *artifact.Cache) {
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			curves[i], errs[i] = harness.LoopCoverageCached(name, scale, cache)
+			curves[i], errs[i] = harness.LoopCoverage(name, scale, cache)
 		}(i, name)
 	}
 	wg.Wait()
@@ -371,7 +371,7 @@ func printFig9(runs []*harness.BenchRun) {
 
 func printFig1(scale int, cache *artifact.Cache) {
 	header("Figure 1: the parser list-free loop")
-	st, err := harness.Fig1ParserCached(scale, cache)
+	st, err := harness.Fig1Parser(scale, cache)
 	die(err)
 	fmt.Printf("  loop speedup     %6.1f%%   (paper: >40%%)\n", 100*(st.LoopSpeedup-1))
 	fmt.Printf("  fast-commit      %6.1f%%   (paper: ~20%% of threads perfectly parallel)\n", 100*st.FastCommitRatio)

@@ -38,8 +38,11 @@
 // successors with background anti-entropy repair, and each node gossips
 // with the others — when one dies, exactly one survivor steals its journal
 // under -cluster-journal-root (atomic rename), adopts its jobs, and
-// restores its journaled results into the store. See ARCHITECTURE.md,
-// "Distributed operation".
+// restores its journaled results into the store. Gossip rounds, which
+// double as peer probes, run every -gossip-interval (default 500ms); after
+// -heartbeat-misses consecutive failed exchanges a peer is probed
+// indirectly and then suspected. See ARCHITECTURE.md, "Distributed
+// operation".
 package main
 
 import (
@@ -127,8 +130,7 @@ func main() {
 		advertise   = flag.String("advertise", "", "base URL peers reach this node at (default derived from -addr; required with -join behind NAT)")
 		storeDir    = flag.String("store-dir", "", "tiered result store disk-spill directory (survives restarts; empty = memory tier only)")
 		journalRoot = flag.String("cluster-journal-root", "", "shared directory of per-node journal dirs (<root>/<node>/jobs.journal) enabling work stealing")
-		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "cluster peer probe interval (legacy name)")
-		gossipEvery = flag.Duration("gossip-interval", 0, "gossip round interval (0 = -heartbeat)")
+		gossipEvery = flag.Duration("gossip-interval", 500*time.Millisecond, "gossip round interval, which also paces peer probes")
 		missesMax   = flag.Int("heartbeat-misses", 3, "consecutive missed gossip exchanges before indirect probes and suspicion")
 		suspectFor  = flag.Duration("suspect-after", 0, "grace between suspect and dead, during which a live peer can refute (0 = 3x gossip interval)")
 		replicas    = flag.Int("replicas", 2, "store replication factor RF, copies per object including the owner (1 = off)")
@@ -268,16 +270,12 @@ func main() {
 				seeds = append(seeds, s)
 			}
 		}
-		interval := *gossipEvery
-		if interval <= 0 {
-			interval = *heartbeat
-		}
 		mgr, err = cluster.NewManager(cluster.ManagerConfig{
 			Self:                *nodeID,
 			Members:             members,
 			Seeds:               seeds,
 			JournalRoot:         *journalRoot,
-			Heartbeat:           interval,
+			Heartbeat:           *gossipEvery,
 			MissThreshold:       *missesMax,
 			SuspectAfter:        *suspectFor,
 			Replicas:            *replicas,

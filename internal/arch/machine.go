@@ -69,14 +69,24 @@ func (m *Machine) RunContext(ctx context.Context) (*RunStats, error) {
 	}
 	im.SetHandler(h)
 	res, err := im.Run()
-	if e.failure != nil {
-		// The engine aborted the run from the inside (cycle budget or a
-		// corrupt event); its cause outranks the interpreter's view of the
-		// resulting cancellation.
+	return e.result(err, false, res.Steps)
+}
+
+// result resolves the engine's outcome once its producer has stopped —
+// the interpreter of a fused run or the broadcast pass of a replay. perr
+// is the producer's error, limited reports that the producer was cut off
+// at Config.StepLimit, and steps is the program's dynamic instruction
+// count. An engine abort (cycle budget, corrupt event) outranks perr,
+// which is usually just the producer's view of the resulting
+// cancellation; perr outranks the step limit; a clean stream is drained.
+func (e *engine) result(perr error, limited bool, steps int64) (*RunStats, error) {
+	switch {
+	case e.failure != nil:
 		return nil, e.failure
-	}
-	if err != nil {
-		return nil, err
+	case perr != nil:
+		return nil, perr
+	case limited:
+		return nil, interp.ErrStepLimit
 	}
 	e.finish()
 	if e.failure != nil {
@@ -84,7 +94,7 @@ func (m *Machine) RunContext(ctx context.Context) (*RunStats, error) {
 		// exhaustion can first surface while draining.
 		return nil, e.failure
 	}
-	e.stats.Instrs = res.Steps
+	e.stats.Instrs = steps
 	return e.stats, nil
 }
 
@@ -178,12 +188,12 @@ type engine struct {
 	// simulator's steady state allocates nothing (locked in by
 	// BenchmarkSpeculationEpisodes / TestSpeculationSteadyStateAllocs).
 	specFree        []*specThread // pooled thread records (commit grabs the next before releasing the old, so two circulate)
-	specPipe        *pipeline   // persistent speculative-core pipeline
-	specBd          Breakdown   // sink for the speculative pipeline's accounting
-	srbScratch      []srbEntry  // SRB entries, preallocated to cfg.SRBSize
-	reexecScratch   []int       // replayed entry indices
-	violatedScratch []bool      // violated live-in registers
-	regsScratch     []int64     // commit-time register tracking (absorb)
+	specPipe        *pipeline     // persistent speculative-core pipeline
+	specBd          Breakdown     // sink for the speculative pipeline's accounting
+	srbScratch      []srbEntry    // SRB entries, preallocated to cfg.SRBSize
+	reexecScratch   []int         // replayed entry indices
+	violatedScratch []bool        // violated live-in registers
+	regsScratch     []int64       // commit-time register tracking (absorb)
 	lastWriter      map[specWKey]int
 	lwFrame         []int32 // loop-frame register writers (dense fast path; -1 = none)
 	ssb             map[int64]int

@@ -36,11 +36,12 @@ func (m *Machine) RunRecorded(rec *trace.Recording) (*RunStats, error) {
 	return m.RunRecordedContext(context.Background(), rec)
 }
 
-// RunRecordedContext simulates a previously captured trace. The engine is
-// fed through exactly the code path a live interpreter uses (the same
-// trace.Handler, including any middleware installed with
-// SetTraceMiddleware — recordings hold the raw pre-middleware stream), so a
-// replayed run is bit-identical to the fused run it stands in for.
+// RunRecordedContext simulates a previously captured trace: it is a
+// one-engine RunRecordedMulti bank. The engine is fed through exactly the
+// code path a live interpreter uses (the same trace.Handler, including any
+// middleware installed with SetTraceMiddleware — recordings hold the raw
+// pre-middleware stream), so a replayed run is bit-identical to the fused
+// run it stands in for.
 //
 // Config.StepLimit applies to the replay just as it does to a live run:
 // feeding stops after StepLimit events and interp.ErrStepLimit is returned.
@@ -49,11 +50,16 @@ func (m *Machine) RunRecorded(rec *trace.Recording) (*RunStats, error) {
 // When both the step and cycle budgets would be exceeded in the same run,
 // the surfaced budget error may differ from the fused run's; both modes
 // return nil stats and a budget-class error.
+func (m *Machine) RunRecordedContext(ctx context.Context, rec *trace.Recording) (*RunStats, error) {
+	stats, errs := replayBank(ctx, m.lp, rec, []Config{m.cfg}, m.mw)
+	return stats[0], errs[0]
+}
+
 // RunRecordedMulti simulates one captured trace under several machine
 // configurations in a single broadcast decode pass: N engines are
 // constructed up front and every event is decoded once and fanned out to
 // all of them (trace.MultiReplayer). Each engine's result is bit-identical
-// to a RunRecordedContext of the same configuration — engines share nothing
+// to a fused Run of the same configuration — engines share nothing
 // mutable, so fan-out order cannot influence per-engine state.
 //
 // Failure is isolated per variant: an engine that exhausts its cycle budget,
@@ -64,6 +70,12 @@ func (m *Machine) RunRecorded(rec *trace.Recording) (*RunStats, error) {
 // entries. The returned slices are indexed like cfgs; stats[i] is nil
 // exactly when errs[i] is non-nil.
 func RunRecordedMulti(ctx context.Context, lp *interp.Program, rec *trace.Recording, cfgs []Config) ([]*RunStats, []error) {
+	return replayBank(ctx, lp, rec, cfgs, nil)
+}
+
+// replayBank is the one replay driver: it feeds rec to one engine per
+// configuration, each behind mw when mw is non-nil.
+func replayBank(ctx context.Context, lp *interp.Program, rec *trace.Recording, cfgs []Config, mw func(trace.Handler) trace.Handler) ([]*RunStats, []error) {
 	stats := make([]*RunStats, len(cfgs))
 	errs := make([]error, len(cfgs))
 	if len(cfgs) == 0 {
@@ -90,7 +102,8 @@ func RunRecordedMulti(ctx context.Context, lp *interp.Program, rec *trace.Record
 		}
 		// No cancel hook: in a bank, one engine's failure must not abort the
 		// siblings' pass. The broadcast replayer sheds the dead engine via
-		// Quit instead, and Event is a no-op once failure is set.
+		// Quit instead (middleware hides Quit, so an engine behind it rides
+		// to the end), and Event is a no-op once failure is set.
 		e := newEngine(lp, cfg)
 		engines[i] = e
 		feedN := rec.Len()
@@ -98,7 +111,11 @@ func RunRecordedMulti(ctx context.Context, lp *interp.Program, rec *trace.Record
 			feedN = cfg.StepLimit
 			limited[i] = true
 		}
-		hs = append(hs, e)
+		var h trace.Handler = e
+		if mw != nil {
+			h = mw(e)
+		}
+		hs = append(hs, h)
 		limits = append(limits, feedN)
 		fed = append(fed, i)
 	}
@@ -107,78 +124,9 @@ func RunRecordedMulti(ctx context.Context, lp *interp.Program, rec *trace.Record
 	}
 	var mr trace.MultiReplayer
 	rerr := mr.Replay(ctx, rec, hs, limits)
-	defer func() {
-		for _, i := range fed {
-			engines[i].releaseBuf()
-		}
-	}()
 	for _, i := range fed {
-		e := engines[i]
-		// Mirror RunRecordedContext's precedence: an engine abort outranks
-		// the pass error, which outranks the per-variant step limit.
-		if e.failure != nil {
-			errs[i] = e.failure
-			continue
-		}
-		if rerr != nil {
-			errs[i] = rerr
-			continue
-		}
-		if limited[i] {
-			errs[i] = interp.ErrStepLimit
-			continue
-		}
-		e.finish()
-		if e.failure != nil {
-			errs[i] = e.failure
-			continue
-		}
-		e.stats.Instrs = rec.Steps()
-		stats[i] = e.stats
+		stats[i], errs[i] = engines[i].result(rerr, limited[i], rec.Steps())
+		engines[i].releaseBuf()
 	}
 	return stats, errs
-}
-
-func (m *Machine) RunRecordedContext(ctx context.Context, rec *trace.Recording) (*RunStats, error) {
-	if err := m.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !rec.Complete() || rec.Len() != rec.Steps() {
-		return nil, fmt.Errorf("%w: recording incomplete (%d events for %d steps)",
-			ErrCorruptTrace, rec.Len(), rec.Steps())
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	e := newEngine(m.lp, m.cfg)
-	defer e.releaseBuf()
-	e.cancel = cancel
-	var h trace.Handler = e
-	if m.mw != nil {
-		h = m.mw(e)
-	}
-	feed := rec.Len()
-	limited := false
-	if m.cfg.StepLimit > 0 && feed > m.cfg.StepLimit {
-		feed = m.cfg.StepLimit
-		limited = true
-	}
-	var rp trace.Replayer
-	rerr := rp.Replay(ctx, rec, h, feed)
-	if e.failure != nil {
-		// Mirror RunContext: an engine abort (cycle budget, corrupt event)
-		// outranks the producer's view of the resulting cancellation.
-		return nil, e.failure
-	}
-	if rerr != nil {
-		return nil, rerr
-	}
-	if limited {
-		return nil, interp.ErrStepLimit
-	}
-	e.finish()
-	if e.failure != nil {
-		return nil, e.failure
-	}
-	e.stats.Instrs = rec.Steps()
-	return e.stats, nil
 }

@@ -229,7 +229,9 @@ func multiVariants() []Config {
 
 // TestRunRecordedMultiMatchesSingle locks in the broadcast contract at the
 // engine level: every variant of a RunRecordedMulti bank returns exactly the
-// stats its own RunRecordedContext would have.
+// stats a fused interpret-and-simulate Run of its configuration returns.
+// The fused run is the independent reference — RunRecordedContext is itself
+// a one-engine bank.
 func TestRunRecordedMultiMatchesSingle(t *testing.T) {
 	lp := compileParallelLoop(t, 300, 10)
 	rec, err := RecordTrace(context.Background(), lp, 0)
@@ -242,12 +244,12 @@ func TestRunRecordedMultiMatchesSingle(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("variant %d: %v", i, errs[i])
 		}
-		want, err := NewMachine(lp, cfg).RunRecorded(rec)
+		want, err := NewMachine(lp, cfg).Run()
 		if err != nil {
-			t.Fatalf("single replay %d: %v", i, err)
+			t.Fatalf("fused run %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(stats[i], want) {
-			t.Fatalf("variant %d diverges from its own replay:\n got %+v\nwant %+v", i, stats[i], want)
+			t.Fatalf("variant %d diverges from its fused run:\n got %+v\nwant %+v", i, stats[i], want)
 		}
 	}
 }

@@ -493,25 +493,18 @@ func (c *Cache) Profile(p *ir.Program, extra string, fn func() (*profiler.Profil
 	return cached(c, k, fn)
 }
 
-// Simulate memoizes a simulation of program p under cfg. The configuration
-// is canonicalized first, so baseline runs that differ only in speculation
-// parameters share one simulation. The returned stats are shared: callers
-// must not mutate them.
-func (c *Cache) Simulate(p *ir.Program, cfg arch.Config, fn func() (*arch.RunStats, error)) (*arch.RunStats, error) {
-	k := key{kind: "simulate", a: Fingerprint(p), cfg: cfg.Canonical()}
-	return cached(c, k, fn)
-}
-
 // SimulateBatch memoizes a batch of simulations of one program in a single
-// cache transaction: every cached (or in-flight) configuration is served as
-// a hit, duplicates within the batch coalesce onto one entry, and the
-// remaining misses are claimed together and handed to compute as index
-// positions into cfgs. compute runs exactly once per SimulateBatch call (if
-// anything is missing) and must return one stats/err pair per miss index, in
-// order — this is what lets a sweep decode a shared recording once and
-// broadcast it to all missing variants. Failed entries are evicted so later
-// callers retry; a panic in compute fails every claimed entry before
-// propagating.
+// cache transaction. Configurations are canonicalized first, so baseline
+// runs that differ only in speculation parameters share one simulation.
+// Every cached (or in-flight) configuration is served as a hit, duplicates
+// within the batch coalesce onto one entry, and the remaining misses are
+// claimed together and handed to compute as index positions into cfgs.
+// compute runs exactly once per SimulateBatch call (if anything is missing)
+// and must return one stats/err pair per miss index, in order — this is
+// what lets a sweep decode a shared recording once and broadcast it to all
+// missing variants. Failed entries are evicted so later callers retry; a
+// panic in compute fails every claimed entry before propagating. The
+// returned stats are shared: callers must not mutate them.
 func (c *Cache) SimulateBatch(p *ir.Program, cfgs []arch.Config, compute func(miss []int) ([]*arch.RunStats, []error)) ([]*arch.RunStats, []error) {
 	out := make([]*arch.RunStats, len(cfgs))
 	errs := make([]error, len(cfgs))

@@ -23,6 +23,16 @@ func tinyProgram(imm int64) *ir.Program {
 	return p
 }
 
+// simulateOne is a one-configuration SimulateBatch: the shape of every
+// cache transaction a single evaluation makes.
+func simulateOne(c *Cache, p *ir.Program, cfg arch.Config, run func() (*arch.RunStats, error)) (*arch.RunStats, error) {
+	stats, errs := c.SimulateBatch(p, []arch.Config{cfg}, func([]int) ([]*arch.RunStats, []error) {
+		rs, err := run()
+		return []*arch.RunStats{rs}, []error{err}
+	})
+	return stats[0], errs[0]
+}
+
 func TestFingerprintContentIdentity(t *testing.T) {
 	a, b := tinyProgram(7), tinyProgram(7)
 	c := tinyProgram(8)
@@ -127,12 +137,12 @@ func TestCachePanicPropagatesAndIsNotCached(t *testing.T) {
 				t.Error("panic did not propagate")
 			}
 		}()
-		_, _ = c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+		_, _ = simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 			panic("kaboom")
 		})
 	}()
 	// The slot must be free again and the next computation succeeds.
-	rs, err := c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+	rs, err := simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 		return &arch.RunStats{Cycles: 42}, nil
 	})
 	if err != nil || rs == nil || rs.Cycles != 42 {
@@ -150,7 +160,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rs, err := c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+			rs, err := simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 				computes.Add(1)
 				return &arch.RunStats{Cycles: 7}, nil
 			})
@@ -183,10 +193,10 @@ func TestSimulateSharesCanonicalBaselines(t *testing.T) {
 	b := arch.BaselineConfig()
 	b.SRBSize = 16
 	b.Recovery = arch.RecoverySquash
-	if _, err := c.Simulate(p, a, run); err != nil {
+	if _, err := simulateOne(c, p, a, run); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Simulate(p, b, run); err != nil {
+	if _, err := simulateOne(c, p, b, run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -196,10 +206,10 @@ func TestSimulateSharesCanonicalBaselines(t *testing.T) {
 	sa := arch.DefaultConfig()
 	sb := arch.DefaultConfig()
 	sb.SRBSize = 16
-	if _, err := c.Simulate(p, sa, run); err != nil {
+	if _, err := simulateOne(c, p, sa, run); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Simulate(p, sb, run); err != nil {
+	if _, err := simulateOne(c, p, sb, run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 3 {
@@ -316,7 +326,7 @@ func TestBoundedCacheSingleFlightUnderBound(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Simulate(p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
+			_, err := simulateOne(c, p, arch.DefaultConfig(), func() (*arch.RunStats, error) {
 				computes.Add(1)
 				return &arch.RunStats{Cycles: 11}, nil
 			})

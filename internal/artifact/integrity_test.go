@@ -19,13 +19,13 @@ func TestIntegrityEvictsMutatedRunStats(t *testing.T) {
 	calls := 0
 	run := func() (*arch.RunStats, error) { calls++; return &arch.RunStats{Cycles: 42}, nil }
 
-	first, err := c.Simulate(p, cfg, run)
+	first, err := simulateOne(c, p, cfg, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.Cycles = 999 // corrupt the shared artifact in place
 
-	second, err := c.Simulate(p, cfg, run)
+	second, err := simulateOne(c, p, cfg, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestIntegrityEvictsMutatedRunStats(t *testing.T) {
 	}
 
 	// The recomputed entry is intact: the next lookup is a clean hit.
-	third, err := c.Simulate(p, cfg, run)
+	third, err := simulateOne(c, p, cfg, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +86,12 @@ func TestIntegrityOffByDefault(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	calls := 0
 	run := func() (*arch.RunStats, error) { calls++; return &arch.RunStats{Cycles: 5}, nil }
-	first, err := c.Simulate(p, cfg, run)
+	first, err := simulateOne(c, p, cfg, run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.Cycles = 11
-	if _, err := c.Simulate(p, cfg, run); err != nil {
+	if _, err := simulateOne(c, p, cfg, run); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {

@@ -18,7 +18,7 @@ import (
 func TestStepLimitThroughRunBenchmark(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	cfg.StepLimit = 100
-	_, err := RunBenchmark("parser", 1, cfg)
+	_, err := RunBenchmark("parser", 1, cfg, nil)
 	if err == nil {
 		t.Fatal("expected step-limit error")
 	}

@@ -68,58 +68,43 @@ func (r *BenchRun) Speedup() float64 {
 }
 
 // RunBenchmark evaluates one benchmark at the given scale under the given
-// machine configuration.
-func RunBenchmark(name string, scale int, cfg arch.Config) (*BenchRun, error) {
-	return RunBenchmarkCached(name, scale, cfg, nil)
-}
-
-// RunBenchmarkCached is RunBenchmark through an artifact cache: the
-// generated program, its compilation, and both simulations are memoized so
-// sweeps revisiting the same point reuse them. A nil cache computes
-// everything directly.
-func RunBenchmarkCached(name string, scale int, cfg arch.Config, cache *artifact.Cache) (*BenchRun, error) {
-	orig, err := benchProgram(cache, name, scale)
-	if err != nil {
-		return nil, err
-	}
-	cres, err := compileBench(cache, name, orig, func(p *ir.Program, o compiler.Options) (*compiler.Result, error) {
-		return compiler.Compile(p, o)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", name, err)
-	}
-	base, err := cache.Simulate(orig, baselineOf(cfg), func() (*arch.RunStats, error) {
-		return simulateRecorded(context.Background(), cache, nil, orig, baselineOf(cfg))
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s baseline: %w", name, err)
-	}
-	spt, err := cache.Simulate(cres.Program, cfg, func() (*arch.RunStats, error) {
-		return simulateRecorded(context.Background(), cache, nil, cres.Program, cfg)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s spt: %w", name, err)
-	}
-	return &BenchRun{Name: name, Compile: cres, Baseline: base, SPT: spt}, nil
+// machine configuration through the guarded pipeline, without budgets. A
+// non-nil cache memoizes the generated program, its compilation and both
+// simulations, and routes the simulations through record-once/replay-many
+// so later evaluations of the same program replay one shared capture; a
+// nil cache computes everything directly on the fused path. Both routes
+// return bit-identical statistics.
+func RunBenchmark(name string, scale int, cfg arch.Config, cache *artifact.Cache) (*BenchRun, error) {
+	return RunBenchmarkGuarded(context.Background(), name, scale, cfg, GuardOptions{Artifacts: cache, RecordTraces: cache != nil})
 }
 
 // CompileBenchmarkCached builds and SPT-compiles one benchmark through an
 // artifact cache, without simulating it. The generated program and the
 // compilation are memoized; ctx bounds the profiling runs inside the
-// compiler. This is the compile half of RunBenchmarkCached, exposed for
+// compiler. This is the compile stage of RunBenchmark, exposed for
 // callers (the sptd service) that serve compilation as its own operation.
 func CompileBenchmarkCached(ctx context.Context, name string, scale int, cache *artifact.Cache) (*compiler.Result, error) {
-	orig, err := benchProgram(cache, name, scale)
-	if err != nil {
-		return nil, err
-	}
-	return compileBench(cache, name, orig, func(p *ir.Program, o compiler.Options) (*compiler.Result, error) {
-		return compiler.CompileContext(ctx, p, o)
-	})
+	_, cres, err := compileStage(ctx, cache, name, scale)
+	return cres, err
 }
 
-// benchProgram returns the optimized program of a benchmark (the baseline
-// code, as in the paper), memoized under (name, scale).
+// compileStage returns a benchmark's optimized program (the baseline code,
+// as in the paper) and its SPT compilation under the per-benchmark
+// compiler options, both memoized in cache.
+func compileStage(ctx context.Context, cache *artifact.Cache, name string, scale int) (*ir.Program, *compiler.Result, error) {
+	orig, err := benchProgram(cache, name, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	o := bench.CompilerOptions(name)
+	cres, err := cache.CompileResult(orig, fmt.Sprintf("%+v", o), func() (*compiler.Result, error) {
+		return compiler.CompileContext(ctx, orig, o)
+	})
+	return orig, cres, err
+}
+
+// benchProgram returns the optimized program of a benchmark, memoized
+// under (name, scale).
 func benchProgram(cache *artifact.Cache, name string, scale int) (*ir.Program, error) {
 	return cache.Program(name, scale, "opt", func() (*ir.Program, error) {
 		b, ok := bench.ByName(name)
@@ -130,55 +115,16 @@ func benchProgram(cache *artifact.Cache, name string, scale int) (*ir.Program, e
 	})
 }
 
-// compileBench memoizes the SPT compilation of a benchmark program under
-// its per-benchmark compiler options.
-func compileBench(cache *artifact.Cache, name string, orig *ir.Program, run func(*ir.Program, compiler.Options) (*compiler.Result, error)) (*compiler.Result, error) {
-	o := bench.CompilerOptions(name)
-	return cache.CompileResult(orig, fmt.Sprintf("%+v", o), func() (*compiler.Result, error) {
-		return run(orig, o)
-	})
-}
-
 func baselineOf(cfg arch.Config) arch.Config {
 	cfg.SPT = false
 	return cfg
 }
 
-func simulateContext(ctx context.Context, p *ir.Program, cfg arch.Config) (*arch.RunStats, error) {
-	lp, err := interp.Load(p)
-	if err != nil {
-		return nil, err
-	}
-	return arch.NewMachine(lp, cfg).RunContext(ctx)
-}
-
-// simulateRecorded is the record-once/replay-many simulation path: the
-// program's architectural trace is captured once (memoized in the cache
-// under the program fingerprint and step limit) and replayed into a fresh
-// engine per configuration. Replayed runs are bit-identical to fused runs
-// (arch.RunRecordedContext), so cached and uncached evaluations agree to
-// the bit. Without a cache a shared capture cannot outlive the call, so the
-// fused interpret-and-simulate path runs instead.
-func simulateRecorded(ctx context.Context, cache *artifact.Cache, nc *nativecap.Capturer, p *ir.Program, cfg arch.Config) (*arch.RunStats, error) {
-	if cache == nil {
-		return simulateContext(ctx, p, cfg)
-	}
-	lp, err := interp.Load(p)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := cache.Recording(p, cfg.StepLimit, func() (*trace.Recording, error) {
-		return nc.Capture(ctx, p, lp, cfg.StepLimit)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return arch.NewMachine(lp, cfg).RunRecordedContext(ctx, rec)
-}
-
-// Broadcast telemetry: decode passes shared by batched sweep variants and
-// the total engines those passes fed. Exposed process-wide (BroadcastStats)
-// so the daemon's metrics endpoint can report them.
+// Broadcast telemetry: decode passes made for batches of several sweep
+// variants and the total engines those passes fed. One-shot runs, retries
+// and variants with a step limit of their own are batches of one and are
+// not counted. Exposed process-wide (BroadcastStats) so the daemon's
+// metrics endpoint can report them.
 var (
 	broadcastPasses   atomic.Int64
 	broadcastVariants atomic.Int64
@@ -188,35 +134,6 @@ var (
 // performed and how many variant engines were fed by them.
 func BroadcastStats() (passes, batchedVariants int64) {
 	return broadcastPasses.Load(), broadcastVariants.Load()
-}
-
-// broadcastSimulate is the vectorized record-once/replay-many path: one
-// recording lookup pins the shared capture for the whole batch, and a
-// single decode pass (arch.RunRecordedMulti) fans every event out to one
-// engine per configuration. All configurations must share the recording's
-// step limit — Sweep groups variants by it. Individual engines may fail
-// (validation, cycle budget) without aborting their siblings.
-func broadcastSimulate(ctx context.Context, cache *artifact.Cache, nc *nativecap.Capturer, p *ir.Program, cfgs []arch.Config) ([]*arch.RunStats, []error) {
-	fill := func(err error) []error {
-		errs := make([]error, len(cfgs))
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	lp, err := interp.Load(p)
-	if err != nil {
-		return make([]*arch.RunStats, len(cfgs)), fill(err)
-	}
-	rec, err := cache.Recording(p, cfgs[0].StepLimit, func() (*trace.Recording, error) {
-		return nc.Capture(ctx, p, lp, cfgs[0].StepLimit)
-	})
-	if err != nil {
-		return make([]*arch.RunStats, len(cfgs)), fill(err)
-	}
-	broadcastPasses.Add(1)
-	broadcastVariants.Add(int64(len(cfgs)))
-	return arch.RunRecordedMulti(ctx, lp, rec, cfgs)
 }
 
 // GuardOptions configures the guarded evaluation pipeline.
@@ -274,91 +191,155 @@ func (r *Report) Successes() []*BenchRun {
 // halved scale up to Budget.Retries times — degraded results beat no
 // results for a sweep — and a retried run records its RetriedScale.
 func RunBenchmarkGuarded(ctx context.Context, name string, scale int, cfg arch.Config, opts GuardOptions) (*BenchRun, error) {
+	runs, errs := runStages(ctx, name, scale, []arch.Config{normalize(name, cfg, opts)}, opts)
+	return runs[0], errs[0]
+}
+
+// normalize applies the Perturb hook and then the budget to a variant's
+// configuration, once, before it enters runStages.
+func normalize(name string, cfg arch.Config, opts GuardOptions) arch.Config {
 	if opts.Perturb != nil {
 		cfg = opts.Perturb(name, cfg)
 	}
-	cfg = opts.Budget.Apply(cfg)
-	return runGuardedEffective(ctx, name, scale, cfg, opts)
+	return opts.Budget.Apply(cfg)
 }
 
-// runGuardedEffective is RunBenchmarkGuarded after config normalization:
-// cfg already has the Perturb hook and the budget applied, so retries (and
-// batched sweeps, which normalize up front to group variants) never
-// re-apply them.
-func runGuardedEffective(ctx context.Context, name string, scale int, cfg arch.Config, opts GuardOptions) (*BenchRun, error) {
-	run, err := runBenchmarkStages(ctx, name, scale, cfg, opts)
-	retried := false
-	for r := 0; err != nil && guard.Exceeded(err) && r < opts.Budget.Retries && scale > 1; r++ {
-		scale /= 2
-		retried = true
-		run, err = runBenchmarkStages(ctx, name, scale, cfg, opts)
-	}
-	if err == nil && retried {
-		run.RetriedScale = scale
-	}
-	return run, err
-}
-
-// runBenchmarkStages is one guarded pass over the compile / baseline / SPT
-// pipeline. Each stage gets its own deadline derived from the budget, and
-// each stage's artifact is served from opts.Artifacts when present.
-func runBenchmarkStages(ctx context.Context, name string, scale int, cfg arch.Config, opts GuardOptions) (*BenchRun, error) {
-	budget := opts.Budget
-	cache := opts.Artifacts
-	simulate := func(sctx context.Context, p *ir.Program, c arch.Config) (*arch.RunStats, error) {
-		if opts.RecordTraces {
-			return simulateRecorded(sctx, cache, opts.Native, p, c)
+// runStages is the one evaluation pipeline. It evaluates a batch of
+// normalized configurations of one benchmark that share a step limit: the
+// compile stage runs once, and the baseline and SPT stages each make one
+// cache transaction for the whole batch (see simulate). Results are indexed
+// like cfgs. Failures stay per member: a member whose engine trips its
+// budget gets its error while its siblings finish bit-identical to a solo
+// run, and a budget-exceeded member is retried alone at halved scale, up
+// to Budget.Retries times, recording the scale it completed at.
+func runStages(ctx context.Context, name string, scale int, cfgs []arch.Config, opts GuardOptions) ([]*BenchRun, []error) {
+	runs, errs := stagePass(ctx, name, scale, cfgs, opts)
+	for i := range cfgs {
+		for sc, r := scale, 0; guard.Exceeded(errs[i]) && r < opts.Budget.Retries && sc > 1; r++ {
+			sc /= 2
+			rr, re := stagePass(ctx, name, sc, cfgs[i:i+1], opts)
+			runs[i], errs[i] = rr[0], re[0]
+			if errs[i] == nil {
+				runs[i].RetriedScale = sc
+			}
 		}
-		return simulateContext(sctx, p, c)
 	}
+	return runs, errs
+}
+
+// stagePass is one guarded pass of a batch over the compile / baseline /
+// SPT stages at one scale. Each stage's artifacts are served from
+// opts.Artifacts when present; a member whose baseline fails skips the
+// SPT stage.
+func stagePass(ctx context.Context, name string, scale int, cfgs []arch.Config, opts GuardOptions) ([]*BenchRun, []error) {
+	runs := make([]*BenchRun, len(cfgs))
 	var (
 		orig *ir.Program
 		cres *compiler.Result
 	)
 	err := guard.Run(name, guard.StageCompile, func() error {
-		var berr error
-		orig, berr = benchProgram(cache, name, scale)
-		if berr != nil {
-			return berr
+		sctx, cancel := opts.Budget.Context(ctx)
+		defer cancel()
+		var err error
+		orig, cres, err = compileStage(sctx, opts.Artifacts, name, scale)
+		return err
+	})
+	if err != nil {
+		return runs, repeat(len(cfgs), err)
+	}
+	batched := len(cfgs) > 1
+	baseCfgs := make([]arch.Config, len(cfgs))
+	for i, c := range cfgs {
+		baseCfgs[i] = baselineOf(c)
+	}
+	base, errs := simulate(ctx, name, guard.StageBaseline, orig, baseCfgs, opts, batched)
+	var live []int // members whose baseline completed
+	var sptCfgs []arch.Config
+	for i, err := range errs {
+		if err == nil {
+			live = append(live, i)
+			sptCfgs = append(sptCfgs, cfgs[i])
 		}
-		sctx, cancel := budget.Context(ctx)
-		defer cancel()
-		var cerr error
-		cres, cerr = compileBench(cache, name, orig, func(p *ir.Program, o compiler.Options) (*compiler.Result, error) {
-			return compiler.CompileContext(sctx, p, o)
+	}
+	if len(live) == 0 {
+		return runs, errs
+	}
+	spt, sptErrs := simulate(ctx, name, guard.StageSimulate, cres.Program, sptCfgs, opts, batched)
+	for j, i := range live {
+		if errs[i] = sptErrs[j]; errs[i] == nil {
+			runs[i] = &BenchRun{Name: name, Compile: cres, Baseline: base[i], SPT: spt[j]}
+		}
+	}
+	return runs, errs
+}
+
+// simulate is one guarded simulation stage of a batch, cache-through: a
+// single artifact.Cache.SimulateBatch transaction serves what is cached
+// and computes the misses together under the stage's deadline. Recording
+// runs capture p's trace once (memoized in the cache under its step limit)
+// and replay it into one engine per missing configuration in a single
+// decode pass (arch.RunRecordedMulti); otherwise each configuration runs
+// on the fused interpret-and-simulate path. Without a cache a capture
+// cannot outlive the call, so uncached runs are always fused. batched
+// marks passes that count toward BroadcastStats. Errors come back per
+// member as *guard.StageError.
+func simulate(ctx context.Context, name, stage string, p *ir.Program, cfgs []arch.Config, opts GuardOptions, batched bool) ([]*arch.RunStats, []error) {
+	cache := opts.Artifacts
+	var stats []*arch.RunStats
+	var errs []error
+	err := guard.Run(name, stage, func() error {
+		stats, errs = cache.SimulateBatch(p, cfgs, func(miss []int) ([]*arch.RunStats, []error) {
+			sctx, cancel := opts.Budget.Context(ctx)
+			defer cancel()
+			mcfgs := make([]arch.Config, len(miss))
+			for j, m := range miss {
+				mcfgs[j] = cfgs[m]
+			}
+			lp, err := interp.Load(p)
+			if err != nil {
+				return make([]*arch.RunStats, len(mcfgs)), repeat(len(mcfgs), err)
+			}
+			if !opts.RecordTraces || cache == nil {
+				st, er := make([]*arch.RunStats, len(mcfgs)), make([]error, len(mcfgs))
+				for j, c := range mcfgs {
+					st[j], er[j] = arch.NewMachine(lp, c).RunContext(sctx)
+				}
+				return st, er
+			}
+			limit := mcfgs[0].StepLimit // shared by the whole batch
+			rec, err := cache.Recording(p, limit, func() (*trace.Recording, error) {
+				return opts.Native.Capture(sctx, p, lp, limit)
+			})
+			if err != nil {
+				return make([]*arch.RunStats, len(mcfgs)), repeat(len(mcfgs), err)
+			}
+			if batched {
+				broadcastPasses.Add(1)
+				broadcastVariants.Add(int64(len(mcfgs)))
+			}
+			return arch.RunRecordedMulti(sctx, lp, rec, mcfgs)
 		})
-		return cerr
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return make([]*arch.RunStats, len(cfgs)), repeat(len(cfgs), err)
 	}
-	var base *arch.RunStats
-	err = guard.Run(name, guard.StageBaseline, func() error {
-		sctx, cancel := budget.Context(ctx)
-		defer cancel()
-		var serr error
-		base, serr = cache.Simulate(orig, baselineOf(cfg), func() (*arch.RunStats, error) {
-			return simulate(sctx, orig, baselineOf(cfg))
-		})
-		return serr
-	})
-	if err != nil {
-		return nil, err
+	for i, cause := range errs {
+		if cause != nil {
+			errs[i] = guard.Run(name, stage, func() error { return cause })
+		}
 	}
-	var spt *arch.RunStats
-	err = guard.Run(name, guard.StageSimulate, func() error {
-		sctx, cancel := budget.Context(ctx)
-		defer cancel()
-		var serr error
-		spt, serr = cache.Simulate(cres.Program, cfg, func() (*arch.RunStats, error) {
-			return simulate(sctx, cres.Program, cfg)
-		})
-		return serr
-	})
-	if err != nil {
-		return nil, err
+	return stats, errs
+}
+
+// repeat returns n copies of err: the outcome of a failure every member of
+// a batch shares.
+func repeat(n int, err error) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = err
 	}
-	return &BenchRun{Name: name, Compile: cres, Baseline: base, SPT: spt}, nil
+	return errs
 }
 
 // RunAll evaluates every benchmark. The per-benchmark pipelines are
@@ -424,15 +405,11 @@ var Fig6SizeLimits = []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 100000
 // LoopCoverage profiles one benchmark and returns its accumulative
 // coverage curve: for each size limit, the fraction of total cycles spent
 // in loops whose average body size is within the limit. Cycles are counted
-// once, at the outermost qualifying loop, so nests do not double count.
-func LoopCoverage(name string, scale int) ([]CoveragePoint, error) {
-	return LoopCoverageCached(name, scale, nil)
-}
-
-// LoopCoverageCached is LoopCoverage through an artifact cache: the raw
-// (unoptimized) program and its profile are memoized, so repeated coverage
-// queries — and anything else profiling the same program — share the work.
-func LoopCoverageCached(name string, scale int, cache *artifact.Cache) ([]CoveragePoint, error) {
+// once, at the outermost qualifying loop, so nests do not double count. A
+// non-nil cache memoizes the raw (unoptimized) program and its profile, so
+// repeated coverage queries — and anything else profiling the same program
+// — share the work.
+func LoopCoverage(name string, scale int, cache *artifact.Cache) ([]CoveragePoint, error) {
 	// Figure 6 profiles the raw build: coverage is a property of the
 	// program as written, before the optimizer reshapes its loops.
 	p, err := cache.Program(name, scale, "raw", func() (*ir.Program, error) {
@@ -649,16 +626,11 @@ type Fig1Stats struct {
 	Windows         int64
 }
 
-// Fig1Parser measures the Figure 1 loop on the default machine.
-func Fig1Parser(scale int) (Fig1Stats, error) {
-	return Fig1ParserCached(scale, nil)
-}
-
-// Fig1ParserCached is Fig1Parser through an artifact cache; the underlying
-// parser run is shared with any suite evaluation at the same scale and
-// configuration.
-func Fig1ParserCached(scale int, cache *artifact.Cache) (Fig1Stats, error) {
-	run, err := RunBenchmarkCached("parser", scale, arch.DefaultConfig(), cache)
+// Fig1Parser measures the Figure 1 loop on the default machine. A non-nil
+// cache shares the underlying parser run with any suite evaluation at the
+// same scale and configuration.
+func Fig1Parser(scale int, cache *artifact.Cache) (Fig1Stats, error) {
+	run, err := RunBenchmark("parser", scale, arch.DefaultConfig(), cache)
 	if err != nil {
 		return Fig1Stats{}, err
 	}
@@ -739,16 +711,15 @@ type Variant struct {
 }
 
 // Sweep evaluates every variant of one benchmark under the guarded
-// pipeline. Variants sharing a (program, step-limit) recording are grouped
-// into one broadcast batch: the batch holds a single work-slot, performs
-// one recording lookup for all members, and a single decode pass fans every
-// trace event out to one engine per variant (arch.RunRecordedMulti).
-// Variants with a step limit nobody else shares fall back to the
-// per-variant guarded path, one work-slot each. Rows come back in variant
-// order, and with opts.Artifacts set the numbers are identical to a
-// sequential uncached run (the shared compile, baseline and
+// pipeline. Variants sharing a (program, step-limit) recording form one
+// batch of runStages: the batch holds a single work-slot, performs one
+// recording lookup for all members, and a single decode pass fans every
+// trace event out to one engine per variant (arch.RunRecordedMulti). A
+// variant with a step limit nobody else shares is a batch of one. Rows come
+// back in variant order, and with opts.Artifacts set the numbers are
+// identical to a sequential uncached run (the shared compile, baseline and
 // repeated-configuration simulations are memoized, not approximated; the
-// broadcast replay is bit-identical to per-variant replay — see
+// broadcast replay is bit-identical to a fused run — see
 // TestSweepDeterminism and arch's TestReplayDeterminismAcrossVariants).
 //
 // Sweep degrades gracefully: a failed variant does not abort its batch
@@ -770,20 +741,14 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 		opts.Artifacts = priv
 		defer priv.ReleaseRecordings()
 	}
-	// Normalize every variant's configuration up front (Perturb hook, then
-	// budget) — exactly what RunBenchmarkGuarded would do — so variants can
-	// be grouped by the step limit that keys their shared recording.
+	// Normalize every variant's configuration up front — exactly what
+	// RunBenchmarkGuarded does — so variants can be grouped by the step
+	// limit that keys their shared recording.
 	effective := make([]arch.Config, len(variants))
-	for i, v := range variants {
-		c := v.Config
-		if opts.Perturb != nil {
-			c = opts.Perturb(name, c)
-		}
-		effective[i] = opts.Budget.Apply(c)
-	}
 	groups := map[int64][]int{}
 	var limits []int64 // deterministic batch launch order
-	for i := range variants {
+	for i, v := range variants {
+		effective[i] = normalize(name, v.Config, opts)
 		sl := effective[i].StepLimit
 		if _, ok := groups[sl]; !ok {
 			limits = append(limits, sl)
@@ -794,20 +759,6 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 	errs := make([]error, len(variants))
 	var wg sync.WaitGroup
 	for _, sl := range limits {
-		idxs := groups[sl]
-		if len(idxs) == 1 {
-			// Heterogeneous step limit: nothing to broadcast with, so keep
-			// the per-variant path.
-			i := idxs[0]
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				release := acquireWork()
-				defer release()
-				runs[i], errs[i] = runGuardedEffective(ctx, name, scale, effective[i], opts)
-			}(i)
-			continue
-		}
 		wg.Add(1)
 		go func(idxs []int) {
 			defer wg.Done()
@@ -815,8 +766,15 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 			// many engines ride the shared decode pass.
 			release := acquireWork()
 			defer release()
-			sweepBatch(ctx, name, scale, idxs, effective, opts, runs, errs)
-		}(idxs)
+			cfgs := make([]arch.Config, len(idxs))
+			for j, i := range idxs {
+				cfgs[j] = effective[i]
+			}
+			br, be := runStages(ctx, name, scale, cfgs, opts)
+			for j, i := range idxs {
+				runs[i], errs[i] = br[j], be[j]
+			}
+		}(groups[sl])
 	}
 	wg.Wait()
 	rows := make([]AblationRow, len(variants))
@@ -827,127 +785,6 @@ func Sweep(ctx context.Context, name string, scale int, variants []Variant, opts
 		}
 	}
 	return rows, errors.Join(errs...)
-}
-
-// sweepBatch evaluates one group of variants that share a recording. The
-// compile stage runs once; the baseline and SPT stages each make one
-// batched cache transaction (artifact.Cache.SimulateBatch), whose misses
-// are computed by a single broadcast replay. Failures stay per-variant: a
-// variant whose engine trips its cycle budget gets its error recorded while
-// its siblings finish bit-identical to a solo run, and budget-exceeded
-// variants retry individually at halved scale.
-func sweepBatch(ctx context.Context, name string, scale int, idxs []int, effective []arch.Config, opts GuardOptions, runs []*BenchRun, errs []error) {
-	budget := opts.Budget
-	cache := opts.Artifacts
-	fail := func(err error) {
-		for _, i := range idxs {
-			errs[i] = err
-		}
-	}
-
-	var (
-		orig *ir.Program
-		cres *compiler.Result
-	)
-	err := guard.Run(name, guard.StageCompile, func() error {
-		var berr error
-		orig, berr = benchProgram(cache, name, scale)
-		if berr != nil {
-			return berr
-		}
-		sctx, cancel := budget.Context(ctx)
-		defer cancel()
-		var cerr error
-		cres, cerr = compileBench(cache, name, orig, func(p *ir.Program, o compiler.Options) (*compiler.Result, error) {
-			return compiler.CompileContext(sctx, p, o)
-		})
-		return cerr
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	// Baseline stage: the members' baselines canonicalize to very few
-	// distinct configurations (usually one); SimulateBatch coalesces the
-	// duplicates and one broadcast pass computes whatever is missing.
-	baseCfgs := make([]arch.Config, len(idxs))
-	for j, i := range idxs {
-		baseCfgs[j] = baselineOf(effective[i])
-	}
-	var baseStats []*arch.RunStats
-	var baseErrs []error
-	err = guard.Run(name, guard.StageBaseline, func() error {
-		baseStats, baseErrs = cache.SimulateBatch(orig, baseCfgs, func(miss []int) ([]*arch.RunStats, []error) {
-			sctx, cancel := budget.Context(ctx)
-			defer cancel()
-			mcfgs := make([]arch.Config, len(miss))
-			for j, m := range miss {
-				mcfgs[j] = baseCfgs[m]
-			}
-			return broadcastSimulate(sctx, cache, opts.Native, orig, mcfgs)
-		})
-		return nil
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	// SPT stage: every variant engine rides one decode pass of the shared
-	// recording.
-	sptCfgs := make([]arch.Config, len(idxs))
-	for j, i := range idxs {
-		sptCfgs[j] = effective[i]
-	}
-	var sptStats []*arch.RunStats
-	var sptErrs []error
-	err = guard.Run(name, guard.StageSimulate, func() error {
-		sptStats, sptErrs = cache.SimulateBatch(cres.Program, sptCfgs, func(miss []int) ([]*arch.RunStats, []error) {
-			sctx, cancel := budget.Context(ctx)
-			defer cancel()
-			mcfgs := make([]arch.Config, len(miss))
-			for j, m := range miss {
-				mcfgs[j] = sptCfgs[m]
-			}
-			return broadcastSimulate(sctx, cache, opts.Native, cres.Program, mcfgs)
-		})
-		return nil
-	})
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	stageErr := func(stage string, err error) error {
-		var se *guard.StageError
-		if errors.As(err, &se) && se.Benchmark == name {
-			return err
-		}
-		return &guard.StageError{Benchmark: name, Stage: stage, Err: err}
-	}
-	for j, i := range idxs {
-		switch {
-		case baseErrs[j] != nil:
-			errs[i] = stageErr(guard.StageBaseline, baseErrs[j])
-		case sptErrs[j] != nil:
-			errs[i] = stageErr(guard.StageSimulate, sptErrs[j])
-		default:
-			runs[i] = &BenchRun{Name: name, Compile: cres, Baseline: baseStats[j], SPT: sptStats[j]}
-			continue
-		}
-		// A budget-exceeded member degrades alone: retry it through the
-		// per-variant pipeline at halved scale, like RunBenchmarkGuarded.
-		sc, retried := scale, false
-		for r := 0; errs[i] != nil && guard.Exceeded(errs[i]) && r < budget.Retries && sc > 1; r++ {
-			sc /= 2
-			retried = true
-			runs[i], errs[i] = runBenchmarkStages(ctx, name, sc, effective[i], opts)
-		}
-		if errs[i] == nil && retried {
-			runs[i].RetriedScale = sc
-		}
-	}
 }
 
 // RecoveryVariants compares SRX+FC against full squash.
@@ -1064,34 +901,4 @@ func LiveInVariants(cores int) []Variant {
 // start-up, in a stable order for rendering.
 func SpecOutcomes() multispec.CounterSnapshot {
 	return multispec.Global.Snapshot()
-}
-
-// AblateRecovery compares SRX+FC against full squash.
-func AblateRecovery(name string, scale int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, RecoveryVariants(), GuardOptions{})
-}
-
-// AblateRegCheck compares value-based against update-based checking.
-func AblateRegCheck(name string, scale int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, RegCheckVariants(), GuardOptions{})
-}
-
-// AblateOverheads sweeps the fork and fast-commit overheads.
-func AblateOverheads(name string, scale int, cycles []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, OverheadVariants(cycles), GuardOptions{})
-}
-
-// AblateSRB sweeps the speculation-result-buffer size.
-func AblateSRB(name string, scale int, sizes []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, SRBVariants(sizes), GuardOptions{})
-}
-
-// AblateCores sweeps the CMP core count.
-func AblateCores(name string, scale int, cores []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, CoresVariants(cores), GuardOptions{})
-}
-
-// AblateSched compares scheduling policies at the given core count.
-func AblateSched(name string, scale int, cores int, strides []int) ([]AblationRow, error) {
-	return Sweep(context.Background(), name, scale, SchedVariants(cores, strides), GuardOptions{})
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,11 +10,22 @@ import (
 
 func runBench(t *testing.T, name string, scale int) *BenchRun {
 	t.Helper()
-	r, err := RunBenchmark(name, scale, arch.DefaultConfig())
+	r, err := RunBenchmark(name, scale, arch.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("RunBenchmark(%s): %v", name, err)
 	}
 	return r
+}
+
+// sweep evaluates variants of one benchmark at scale 1 with default
+// options, failing the test on any variant error.
+func sweep(t *testing.T, name string, variants []Variant) []AblationRow {
+	t.Helper()
+	rows, err := Sweep(context.Background(), name, 1, variants, GuardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
@@ -48,7 +60,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 
 func TestFig6CoverageShapes(t *testing.T) {
 	// Parser: substantial loop coverage, monotone accumulation, below 100%.
-	pts, err := LoopCoverage("parser", 1)
+	pts, err := LoopCoverage("parser", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +75,7 @@ func TestFig6CoverageShapes(t *testing.T) {
 		t.Errorf("parser total loop coverage = %v, want 0.5..0.99", last)
 	}
 	// Vortex: almost no loop coverage (the paper's standout).
-	vpts, err := LoopCoverage("vortex", 1)
+	vpts, err := LoopCoverage("vortex", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +84,7 @@ func TestFig6CoverageShapes(t *testing.T) {
 	}
 	// Gap: visible jump once the huge-body loop qualifies (Figure 6's
 	// signature), i.e. coverage at 3000 much larger than at 1000.
-	gpts, err := LoopCoverage("gap", 1)
+	gpts, err := LoopCoverage("gap", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +169,7 @@ func TestAverage(t *testing.T) {
 }
 
 func TestFig1ParserHeadline(t *testing.T) {
-	st, err := Fig1Parser(1)
+	st, err := Fig1Parser(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +191,7 @@ func TestFig1ParserHeadline(t *testing.T) {
 }
 
 func TestAblateRecovery(t *testing.T) {
-	rows, err := AblateRecovery("parser", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweep(t, "parser", RecoveryVariants())
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -193,10 +202,7 @@ func TestAblateRecovery(t *testing.T) {
 }
 
 func TestAblateRegCheck(t *testing.T) {
-	rows, err := AblateRegCheck("mcf", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweep(t, "mcf", RegCheckVariants())
 	val, upd := rows[0].Speedup, rows[1].Speedup
 	if val < upd-1e-9 {
 		t.Errorf("value-based (%v) worse than update-based (%v)", val, upd)
@@ -204,20 +210,14 @@ func TestAblateRegCheck(t *testing.T) {
 }
 
 func TestAblateSRB(t *testing.T) {
-	rows, err := AblateSRB("parser", 1, []int{16, 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweep(t, "parser", SRBVariants([]int{16, 1024}))
 	if rows[1].Speedup < rows[0].Speedup-1e-9 {
 		t.Errorf("SRB 1024 (%v) worse than SRB 16 (%v)", rows[1].Speedup, rows[0].Speedup)
 	}
 }
 
 func TestAblateCores(t *testing.T) {
-	rows, err := AblateCores("parser", 1, []int{2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweep(t, "parser", CoresVariants([]int{2, 4, 8}))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -232,10 +232,7 @@ func TestAblateCores(t *testing.T) {
 }
 
 func TestAblateSched(t *testing.T) {
-	rows, err := AblateSched("parser", 1, 4, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweep(t, "parser", SchedVariants(4, []int{2}))
 	if len(rows) != 3 { // inorder + stride=2 + eager
 		t.Fatalf("rows = %+v", rows)
 	}
@@ -275,10 +272,10 @@ func TestRunAllSmoke(t *testing.T) {
 }
 
 func TestRunBenchmarkErrors(t *testing.T) {
-	if _, err := RunBenchmark("perlbmk", 1, arch.DefaultConfig()); err == nil {
+	if _, err := RunBenchmark("perlbmk", 1, arch.DefaultConfig(), nil); err == nil {
 		t.Error("excluded benchmark accepted")
 	}
-	if _, err := LoopCoverage("nosuch", 1); err == nil {
+	if _, err := LoopCoverage("nosuch", 1, nil); err == nil {
 		t.Error("unknown benchmark accepted by LoopCoverage")
 	}
 }
@@ -297,7 +294,7 @@ func TestScaleStability(t *testing.T) {
 		{"parser", 1.08, 1.45},
 		{"mcf", 1.10, 1.55},
 	} {
-		run, err := RunBenchmark(tc.name, 2, arch.DefaultConfig())
+		run, err := RunBenchmark(tc.name, 2, arch.DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -308,10 +305,7 @@ func TestScaleStability(t *testing.T) {
 }
 
 func TestAblateOverheads(t *testing.T) {
-	rows, err := AblateOverheads("parser", 1, []int{1, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := sweep(t, "parser", OverheadVariants([]int{1, 16}))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -29,11 +29,11 @@ func TestReplayDeterminismAcrossVariants(t *testing.T) {
 	for _, fam := range families {
 		for _, v := range fam.variants {
 			t.Run(fam.name+"/"+v.Label, func(t *testing.T) {
-				want, err := RunBenchmark(benchName, scale, v.Config) // fused, uncached
+				want, err := RunBenchmark(benchName, scale, v.Config, nil) // fused, uncached
 				if err != nil {
 					t.Fatalf("fused: %v", err)
 				}
-				got, err := RunBenchmarkCached(benchName, scale, v.Config, cache) // recorded + replayed
+				got, err := RunBenchmark(benchName, scale, v.Config, cache) // recorded + replayed
 				if err != nil {
 					t.Fatalf("replayed: %v", err)
 				}

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/artifact"
+	"repro/internal/guard"
+	"repro/internal/ir"
 )
 
 // sweepVariants is a mixed ablation: recovery kinds, SRB sizes and fork
@@ -31,7 +34,7 @@ func TestSweepDeterminism(t *testing.T) {
 	var wantRows []AblationRow
 	wantRuns := make([]*BenchRun, len(variants))
 	for i, v := range variants {
-		run, err := RunBenchmark(name, scale, v.Config)
+		run, err := RunBenchmark(name, scale, v.Config, nil)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", v.Label, err)
 		}
@@ -58,7 +61,7 @@ func TestSweepDeterminism(t *testing.T) {
 	// per-loop attribution — must match the uncached pipeline, not just the
 	// headline speedups.
 	for i, v := range variants {
-		run, err := RunBenchmarkCached(name, scale, v.Config, cache)
+		run, err := RunBenchmark(name, scale, v.Config, cache)
 		if err != nil {
 			t.Fatalf("cached %s: %v", v.Label, err)
 		}
@@ -96,6 +99,101 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 	if got := batched - batched0; got != 5 {
 		t.Errorf("batched variants = %d; want 5 (1 baseline + 4 distinct SPT engines)", got)
+	}
+}
+
+// TestSweepLoneLimitAndBatchRetry covers the two Sweep branches the other
+// sweep tests leave alone: a variant whose step limit no sibling shares (a
+// batch of one) and a budget-exceeded member of a batch, which retries
+// alone at halved scale. Rows, the retried scale and the complete stats
+// must equal sequential RunBenchmarkGuarded runs. Sweep returns rows only,
+// so the stats are read back from its cache at the scale each sequential
+// run completed at: a retried member's scale-1 entries exist only if the
+// sweep retried it there.
+func TestSweepLoneLimitAndBatchRetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-scale evaluation")
+	}
+	const name, scale = "parser", 2
+	ctx := context.Background()
+
+	// A cycle budget that both scale-1 simulations fit and neither scale-2
+	// simulation does.
+	r1, r2 := runBench(t, name, 1), runBench(t, name, 2)
+	lo := max(r1.Baseline.Cycles, r1.SPT.Cycles)
+	hi := min(r2.Baseline.Cycles, r2.SPT.Cycles)
+	if hi <= lo+1 {
+		t.Fatalf("no cycle budget separates scale 1 (%d cycles) from scale 2 (%d)", lo, hi)
+	}
+	starved := arch.DefaultConfig()
+	starved.CycleLimit = (lo + hi) / 2
+	lone := arch.DefaultConfig()
+	lone.StepLimit = 1 << 40 // never reached, but shared by no other variant
+	squash := arch.DefaultConfig()
+	squash.Recovery = arch.RecoverySquash
+	variants := []Variant{
+		{Label: "default", Config: arch.DefaultConfig()},
+		{Label: "squash", Config: squash},
+		{Label: "starved", Config: starved},
+		{Label: "lone-limit", Config: lone},
+	}
+	opts := GuardOptions{Budget: guard.Budget{Retries: 1}}
+
+	wantRows := make([]AblationRow, len(variants))
+	wantRuns := make([]*BenchRun, len(variants))
+	for i, v := range variants {
+		run, err := RunBenchmarkGuarded(ctx, name, scale, v.Config, opts)
+		if err != nil {
+			t.Fatalf("sequential %s: %v", v.Label, err)
+		}
+		wantRuns[i] = run
+		wantRows[i] = AblationRow{Name: name, Variant: v.Label, Speedup: run.Speedup()}
+	}
+	if wantRuns[2].RetriedScale != 1 {
+		t.Fatalf("starved variant RetriedScale = %d; the budget must force one retry", wantRuns[2].RetriedScale)
+	}
+
+	cache := &artifact.Cache{}
+	sopts := opts
+	sopts.Artifacts = cache
+	rows, err := Sweep(ctx, name, scale, variants, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Fatalf("rows diverge from sequential runs:\ngot  %+v\nwant %+v", rows, wantRows)
+	}
+
+	errMiss := errors.New("not in the sweep's cache")
+	cached := func(p *ir.Program, cfg arch.Config) *arch.RunStats {
+		t.Helper()
+		stats, errs := cache.SimulateBatch(p, []arch.Config{cfg}, func([]int) ([]*arch.RunStats, []error) {
+			return []*arch.RunStats{nil}, []error{errMiss}
+		})
+		if errs[0] != nil {
+			t.Fatalf("stats for %+v: %v", cfg, errs[0])
+		}
+		return stats[0]
+	}
+	for i, v := range variants {
+		sc := scale
+		if rs := wantRuns[i].RetriedScale; rs != 0 {
+			sc = rs
+		}
+		orig, err := benchProgram(cache, name, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := CompileBenchmarkCached(ctx, name, sc, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cached(orig, baselineOf(v.Config)); !reflect.DeepEqual(got, wantRuns[i].Baseline) {
+			t.Errorf("%s: baseline stats diverge from the sequential run", v.Label)
+		}
+		if got := cached(cres.Program, v.Config); !reflect.DeepEqual(got, wantRuns[i].SPT) {
+			t.Errorf("%s: SPT stats diverge from the sequential run", v.Label)
+		}
 	}
 }
 
@@ -145,13 +243,13 @@ func TestSweepUnknownBenchmark(t *testing.T) {
 // TestLoopCoverageCached: the cached curve matches the direct one and the
 // second query is served from the cache.
 func TestLoopCoverageCached(t *testing.T) {
-	want, err := LoopCoverage("mcf", 1)
+	want, err := LoopCoverage("mcf", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := &artifact.Cache{}
 	for pass := 0; pass < 2; pass++ {
-		got, err := LoopCoverageCached("mcf", 1, cache)
+		got, err := LoopCoverage("mcf", 1, cache)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -163,11 +261,11 @@ func TestLoopCoverageCached(t *testing.T) {
 		t.Errorf("second coverage query missed the cache: %+v", st)
 	}
 
-	if _, err := LoopCoverageCached("nosuch", 1, cache); err == nil {
+	if _, err := LoopCoverage("nosuch", 1, cache); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 	// The failed build must not poison the cache.
-	if _, err := LoopCoverageCached("nosuch", 1, cache); err == nil {
+	if _, err := LoopCoverage("nosuch", 1, cache); err == nil {
 		t.Error("unknown benchmark accepted on retry")
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -246,7 +247,7 @@ func (s *Server) replayJournal() error {
 // numbers only need to be monotonic per prefix, and ids are compared as
 // full strings everywhere else.
 func numericJobID(id string) int64 {
-	if i := lastIndexByte(id, '-'); i >= 0 {
+	if i := strings.LastIndexByte(id, '-'); i >= 0 {
 		id = id[i+1:]
 	}
 	if len(id) < 2 || id[0] != 'j' {
@@ -260,15 +261,6 @@ func numericJobID(id string) int64 {
 		n = n*10 + int64(c-'0')
 	}
 	return n
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // resurrectDone restores a finished job's polling view from the journal.

@@ -5,11 +5,11 @@ import (
 	"fmt"
 )
 
-// This file implements broadcast replay: one decode pass over a Recording
-// drives any number of consumers at once. Where Replayer pays the columnar
-// decode (and the chunk walk, and the context polling) once per consumer,
-// MultiReplayer pays it once per sweep — each event is materialized a single
-// time and fanned out to every still-live handler.
+// This file implements replay: one decode pass over a Recording drives any
+// number of consumers at once. The columnar decode, the chunk walk and the
+// context polling are paid once per pass, not once per consumer — each
+// event is materialized a single time and fanned out to every still-live
+// handler. A single consumer is simply a pass with one handler.
 
 // broadcastBlock is the burst size of the fan-out: events are decoded into
 // a block of this many materialized Events, and each live handler consumes
@@ -53,13 +53,16 @@ type MultiReplayer struct {
 // Replay feeds rec to every handler in hs in one pass. limits[i] bounds the
 // events delivered to hs[i] (<= 0: the whole recording); limits may be nil
 // (no handler is bounded) but must otherwise match hs in length. Each
-// handler observes exactly the same ordered event prefix it would have seen
-// from its own Replayer: events are decoded once into a block and each
-// handler consumes the block in a burst, so *within* a block handlers run
-// one after another rather than interleaved per event (they are independent,
-// so the interleaving is unobservable). Emitted Events are reused between
-// blocks and their Snapshot aliases the recording's storage, so handlers
-// must copy anything they keep, exactly as with a live producer.
+// handler observes exactly the ordered event prefix the producer emitted
+// when the recording was captured: events are decoded once into a block and
+// each handler consumes the block in a burst, so *within* a block handlers
+// run one after another rather than interleaved per event (they are
+// independent, so the interleaving is unobservable). Emitted Events are
+// reused between blocks and their Snapshot aliases the recording's storage,
+// so handlers must copy anything they keep, exactly as with a live
+// producer. Events recorded without a snapshot replay with a nil Snapshot;
+// zero-length snapshots may also replay as nil (consumers treat both
+// alike).
 //
 // Handlers implementing Quitter are polled between blocks (every 512
 // events) and dropped once they report true; the pass returns early when no

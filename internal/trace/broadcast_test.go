@@ -26,18 +26,28 @@ func (s *sumHandler) Event(ev *Event) {
 func (s *sumHandler) Quit() bool { return s.quitAt > 0 && s.count >= s.quitAt }
 
 // TestBroadcastMatchesReplay is the broadcast correctness contract: every
-// handler of a MultiReplayer pass observes exactly the event prefix it would
-// have seen from its own single-consumer Replayer, limits included.
+// handler of a MultiReplayer pass observes exactly the event prefix the
+// producer emitted at capture time, limits included. The reference is the
+// live stream the Recorder tees while capturing, so the check never
+// compares the replay path with itself.
 func TestBroadcastMatchesReplay(t *testing.T) {
-	rec := record(synthEvents(2*chunkEvents+777, 43))
-	limits := []int64{0, 1, broadcastBlock, broadcastBlock + 1, chunkEvents + 5, rec.Len() + 100}
+	evs := synthEvents(2*chunkEvents+777, 43)
+	n := int64(len(evs))
+	limits := []int64{0, 1, broadcastBlock, broadcastBlock + 1, chunkEvents + 5, n + 100}
 	want := make([]sumHandler, len(limits))
-	for i, lim := range limits {
-		var rp Replayer
-		if err := rp.Replay(context.Background(), rec, &want[i], lim); err != nil {
-			t.Fatalf("Replay(limit=%d): %v", lim, err)
+	var seen int64
+	r := NewRecorder(HandlerFunc(func(ev *Event) {
+		for i, lim := range limits {
+			if lim <= 0 || seen < lim {
+				want[i].Event(ev)
+			}
 		}
+		seen++
+	}))
+	for i := range evs {
+		r.Event(&evs[i])
 	}
+	rec := r.Finalize(n)
 	got := make([]sumHandler, len(limits))
 	hs := make([]Handler, len(limits))
 	for i := range got {
@@ -49,17 +59,18 @@ func TestBroadcastMatchesReplay(t *testing.T) {
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("limit %d: broadcast %+v, single replay %+v", limits[i], got[i], want[i])
+			t.Errorf("limit %d: broadcast %+v, captured stream %+v", limits[i], got[i], want[i])
 		}
 	}
 }
 
 // TestBroadcastSnapshotsMatch drives one handler that copies everything and
-// diffs the full event streams, so snapshot side-table decoding is compared
-// byte for byte, not just checksummed.
+// diffs the full event stream against the events that were recorded, so
+// snapshot side-table decoding is compared byte for byte, not just
+// checksummed.
 func TestBroadcastSnapshotsMatch(t *testing.T) {
-	rec := record(synthEvents(chunkEvents+321, 7))
-	want := collect(t, rec)
+	want := synthEvents(chunkEvents+321, 7)
+	rec := record(want)
 	var got []Event
 	copying := HandlerFunc(func(ev *Event) {
 		cp := *ev
@@ -74,7 +85,7 @@ func TestBroadcastSnapshotsMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("broadcast stream diverges from single replay")
+		t.Fatal("broadcast stream diverges from the recorded events")
 	}
 	if other.count != rec.Len() {
 		t.Fatalf("sibling saw %d events; want %d", other.count, rec.Len())
@@ -162,10 +173,10 @@ func TestBroadcastCtxCancel(t *testing.T) {
 	}
 }
 
-// TestBroadcastSteadyStateAllocs mirrors TestReplaySteadyStateAllocs for the
-// broadcast path: once a MultiReplayer has warmed its block and sink scratch,
-// fanning a recording out to several handlers allocates nothing — the decode
-// cost is O(block + handlers) scratch, never O(events).
+// TestBroadcastSteadyStateAllocs: once a MultiReplayer has warmed its block
+// and sink scratch, fanning a recording out to several handlers allocates
+// nothing — the decode cost is O(block + handlers) scratch, never
+// O(events).
 func TestBroadcastSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")

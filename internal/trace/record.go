@@ -2,7 +2,6 @@ package trace
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -24,10 +23,6 @@ const chunkEvents = 1 << 15
 // (AssembleExternal) whose storage layout must mirror the recorder's
 // chunking to yield bit-identical checksums.
 const ChunkEvents = chunkEvents
-
-// replayCtxMask mirrors the interpreter's cadence: the replay context is
-// polled every time the low bits of the event index wrap.
-const replayCtxMask = 1<<10 - 1
 
 // chunk is one fixed-capacity block of columnar event storage. The event
 // columns are allocated once at full capacity and indexed by n; the sparse
@@ -333,73 +328,10 @@ func (r *Recorder) Abort() {
 	r.rec, r.cur = nil, nil
 }
 
-// Replayer re-emits recordings. The zero value is ready; reusing one
-// Replayer across Replay calls keeps the steady state allocation-free (the
-// replayed Event lives in the Replayer, not on a per-call heap escape).
-type Replayer struct {
-	ev Event
-}
-
-// Replay feeds the first limit events (limit <= 0: all) of rec to h in
-// order, polling ctx on the interpreter's cadence (every 1024 events). The
-// emitted Event is reused between calls and its Snapshot aliases the
-// recording's storage — handlers must copy anything they keep, exactly as
-// with a live producer. Events recorded without a snapshot replay with a
-// nil Snapshot; zero-length snapshots may also replay as nil (consumers
-// treat empty and missing snapshots alike).
-func (rp *Replayer) Replay(ctx context.Context, rec *Recording, h Handler, limit int64) error {
-	if rec == nil {
-		return nil
-	}
-	if limit <= 0 || limit > rec.n {
-		limit = rec.n
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	ev := &rp.ev
-	var fed int64
-	for _, c := range rec.chunks {
-		if fed >= limit {
-			break
-		}
-		n := int64(c.n)
-		if rem := limit - fed; n > rem {
-			n = rem
-		}
-		si := 0
-		for i := int64(0); i < n; i++ {
-			if fed&replayCtxMask == replayCtxMask && done != nil {
-				select {
-				case <-done:
-					return fmt.Errorf("trace: replay interrupted after %d events: %w", fed, ctx.Err())
-				default:
-				}
-			}
-			ev.Func = c.funcs[i]
-			ev.ID = c.ids[i]
-			ev.Frame = c.frames[i]
-			ev.Addr = c.addrs[i]
-			ev.Val = c.vals[i]
-			ev.Taken = c.taken[i]
-			ev.Snapshot = nil
-			if si < len(c.snapAt) && c.snapAt[si] == int32(i) {
-				start, end := c.snapRange(si)
-				ev.Snapshot = c.snapData[start:end:end]
-				si++
-			}
-			h.Event(ev)
-			fed++
-		}
-	}
-	return nil
-}
-
-// Replay feeds the whole recording to h; see Replayer.Replay for the
-// aliasing contract. Callers replaying repeatedly should hold their own
-// Replayer to avoid its per-call allocation.
+// Replay feeds the whole recording to h in one MultiReplayer pass; see
+// MultiReplayer.Replay for the aliasing and cancellation contract. Callers
+// replaying repeatedly should hold their own MultiReplayer to keep the
+// steady state allocation-free.
 func (r *Recording) Replay(ctx context.Context, h Handler) error {
-	var rp Replayer
-	return rp.Replay(ctx, r, h, 0)
+	return new(MultiReplayer).Replay(ctx, r, []Handler{h}, nil)
 }

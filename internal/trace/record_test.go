@@ -85,19 +85,6 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordingReplayLimit(t *testing.T) {
-	evs := synthEvents(5000, 0)
-	rec := record(evs)
-	var n int64
-	var rp Replayer
-	if err := rp.Replay(context.Background(), rec, HandlerFunc(func(*Event) { n++ }), 777); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if n != 777 {
-		t.Fatalf("limit replay fed %d events; want 777", n)
-	}
-}
-
 func TestReplayCtxCancel(t *testing.T) {
 	evs := synthEvents(100000, 0)
 	rec := record(evs)
@@ -265,30 +252,4 @@ func TestRecorderTee(t *testing.T) {
 	if teed != 500 || rec.Len() != 500 {
 		t.Fatalf("tee saw %d events, recording holds %d; want 500/500", teed, rec.Len())
 	}
-}
-
-// TestReplaySteadyStateAllocs mirrors arch.TestSpeculationSteadyStateAllocs:
-// replaying a warm recording through a persistent Replayer allocates
-// nothing.
-func TestReplaySteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is perturbed by the race detector")
-	}
-	rec := record(synthEvents(chunkEvents+999, 61))
-	var sink int64
-	h := HandlerFunc(func(ev *Event) { sink += ev.Val + int64(len(ev.Snapshot)) })
-	var rp Replayer
-	ctx := context.Background()
-	if err := rp.Replay(ctx, rec, h, 0); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := rp.Replay(ctx, rec, h, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state replay allocates %.1f times per pass; want 0", allocs)
-	}
-	_ = sink
 }

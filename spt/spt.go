@@ -163,7 +163,7 @@ func BenchmarkCompileOptions(name string) CompileOptions { return bench.Compiler
 
 // EvalBenchmark compiles and simulates one benchmark against its baseline.
 func EvalBenchmark(name string, scale int, cfg MachineConfig) (*BenchRun, error) {
-	return harness.RunBenchmark(name, scale, cfg)
+	return harness.RunBenchmark(name, scale, cfg, nil)
 }
 
 // EvalAll evaluates every benchmark (the Figure 8/9 sweep).
