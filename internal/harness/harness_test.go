@@ -254,6 +254,7 @@ func TestRunAllSmoke(t *testing.T) {
 	if len(runs) != 10 {
 		t.Fatalf("runs = %d", len(runs))
 	}
+	checkGolden(t, runs)
 	var rows []Fig9Row
 	for _, r := range runs {
 		rows = append(rows, Fig9(r))
