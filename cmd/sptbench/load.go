@@ -16,28 +16,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/arch"
-	"repro/internal/harness"
-	"repro/internal/service"
 	"repro/spt/client"
 )
-
-// localExpectation runs the benchmark through the local (one-shot) pipeline
-// and flattens it exactly the way the daemon does: the comparison below is
-// therefore field-by-field over the same RunStats shape.
-func localExpectation(benchName string, scale int) (*client.SimulateResponse, error) {
-	run, err := harness.RunBenchmark(benchName, scale, arch.DefaultConfig(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return &client.SimulateResponse{
-		Benchmark: benchName,
-		Scale:     scale,
-		Baseline:  service.Summarize(run.Baseline),
-		SPT:       service.Summarize(run.SPT),
-		Speedup:   run.Speedup(),
-	}, nil
-}
 
 // sameSim compares a served response against the local expectation,
 // ignoring the job id (every response carries a fresh one).
@@ -72,7 +52,7 @@ func runServeLoad(url, benchName string, scale, requests, concurrency int) int {
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "serve-load: computing local expectation for %s scale %d...\n", benchName, scale)
-	want, err := localExpectation(benchName, scale)
+	want, err := soakExpectation(client.SimulateRequest{Benchmark: benchName, Scale: scale})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sptbench: serve-load: local pipeline: %v\n", err)
 		return 1
@@ -208,7 +188,7 @@ func runServeSmoke(url, benchName string, scale int) int {
 	fmt.Printf("serve-smoke: compile ok (job %s, %d loops, %d selected)\n", cres.JobID, len(cres.Loops), cres.SelectedLoops)
 
 	// 2. Simulate, verified bit-identical against the local pipeline.
-	want, err := localExpectation(benchName, scale)
+	want, err := soakExpectation(client.SimulateRequest{Benchmark: benchName, Scale: scale})
 	if err != nil {
 		return fail("local pipeline: %v", err)
 	}

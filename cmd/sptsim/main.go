@@ -30,8 +30,9 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
-	"repro/internal/multispec"
 	"repro/internal/opt"
+	"repro/internal/service"
+	"repro/spt/client"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 		scale    = flag.Int("scale", 1, "workload scale")
 		recovery = flag.String("recovery", "srxfc", "misspeculation recovery: srxfc | squash")
 		regcheck = flag.String("regcheck", "value", "register dependence checking: value | update")
-		srb      = flag.Int("srb", 1024, "speculation result buffer entries")
+		srb      = flag.Int("srb", 1024, "speculation result buffer entries (0 = the default)")
 		ncores   = flag.Int("cores", 0, "total CMP cores (0 or 2 = the paper's classic machine, 3+ = chained speculation)")
 		sched    = flag.String("sched", "inorder", "spec-thread scheduling policy: inorder | stride | eager")
 		stride   = flag.Int("stride", 1, "iteration lookahead per spawn for -sched stride")
@@ -96,41 +97,17 @@ func main() {
 		}
 		sptProg = cres.Program
 	}
-	cfg := arch.DefaultConfig()
-	cfg.SRBSize = *srb
-	switch *recovery {
-	case "srxfc":
-		cfg.Recovery = arch.RecoverySRXFC
-	case "squash":
-		cfg.Recovery = arch.RecoverySquash
-	default:
-		fmt.Fprintln(os.Stderr, "sptsim: bad -recovery")
-		os.Exit(2)
-	}
-	switch *regcheck {
-	case "value":
-		cfg.RegCheck = arch.RegCheckValue
-	case "update":
-		cfg.RegCheck = arch.RegCheckUpdate
-	default:
-		fmt.Fprintln(os.Stderr, "sptsim: bad -regcheck")
-		os.Exit(2)
-	}
-	cfg.Cores = *ncores
-	pol, err := multispec.ParsePolicy(*sched)
+	// The machine knobs mean exactly what they mean on /v1/simulate.
+	cfg, err := service.ConfigFromRequest(client.SimulateRequest{
+		Recovery: *recovery,
+		RegCheck: *regcheck,
+		SRB:      *srb,
+		Cores:    *ncores,
+		Sched:    *sched,
+		Stride:   *stride,
+		LiveIn:   *livein,
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sptsim: bad -sched (want inorder | stride | eager)")
-		os.Exit(2)
-	}
-	cfg.Sched = pol
-	cfg.SchedStride = *stride
-	li, err := multispec.ParseLiveIn(*livein)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sptsim: bad -livein (want svp | slice)")
-		os.Exit(2)
-	}
-	cfg.LiveIn = li
-	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "sptsim: %v\n", err)
 		os.Exit(2)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/bpred"
@@ -11,7 +12,9 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/multispec"
+	"repro/internal/profiler"
 	"repro/internal/trace"
+	"repro/internal/walk"
 )
 
 // ErrCycleLimit is returned when a simulation exceeds Config.CycleLimit.
@@ -169,20 +172,15 @@ type engine struct {
 	// the classic one-thread machine never sees it.
 	chainSSB map[int64]bool
 
-	tracker *loopTracker
-	curLoop *LoopStats
-	lastCm  int64
+	// walk follows the main thread's frames and loop activations; each
+	// activation carries the stats of its loop. loopStats caches those
+	// stats by function and dense loop id.
+	walk      *walk.Walker[struct{}, *LoopStats]
+	loopStats [][]*LoopStats
+	lastCm    int64
 
 	cancel  context.CancelFunc
 	failure error // budget exhaustion or corrupt input; simulation stops
-
-	// frame linkage for return-value readiness and reg tracking. The
-	// last-touched entry is memoized: consecutive events overwhelmingly
-	// share a frame, so most lookups skip the map entirely.
-	frameInfo map[int64]*engFrame
-	frameTop  []int64 // call stack of frame ids (main thread view)
-	lastFrame int64
-	lastFI    *engFrame
 
 	// Scratch state reused across events and speculation windows so the
 	// simulator's steady state allocates nothing (locked in by
@@ -199,28 +197,23 @@ type engine struct {
 	ssb             map[int64]int
 	specFrameParent map[int64]int64
 	specFrameRet    map[int64]ir.Reg
-	framePool       []*engFrame // recycled frame-linkage records
-	snapPool        [][]int64   // recycled fork-snapshot buffers
-}
-
-type engFrame struct {
-	fn     int32
-	parent int64
-	retDst ir.Reg
-	lastID int32
+	snapPool        [][]int64 // recycled fork-snapshot buffers
 }
 
 func newEngine(lp *interp.Program, cfg Config) *engine {
-	st := &RunStats{}
+	st := &RunStats{PerLoop: map[profiler.LoopKey]*LoopStats{}}
 	e := &engine{
-		lp:        lp,
-		cfg:       cfg,
-		hier:      cache.New(cfg.Cache),
-		bp:        bpred.New(cfg.BPredEntries),
-		stats:     st,
-		frameInfo: map[int64]*engFrame{},
-		tracker:   newLoopTracker(lp),
-		buf:       grabBuf(),
+		lp:    lp,
+		cfg:   cfg,
+		hier:  cache.New(cfg.Cache),
+		bp:    bpred.New(cfg.BPredEntries),
+		stats: st,
+		walk:  walk.New[struct{}, *LoopStats](lp),
+		buf:   grabBuf(),
+	}
+	e.loopStats = make([][]*LoopStats, len(e.walk.Funcs))
+	for fi, f := range e.walk.Funcs {
+		e.loopStats[fi] = make([]*LoopStats, len(f.Loops))
 	}
 	e.main = newPipeline(cfg.IssueWidth, cfg.BranchPenalty, &st.Breakdown)
 	e.specPipe = newPipeline(cfg.IssueWidth, cfg.BranchPenalty, &e.specBd)
@@ -235,7 +228,6 @@ func newEngine(lp *interp.Program, cfg Config) *engine {
 	e.ssb = map[int64]int{}
 	e.specFrameParent = map[int64]int64{}
 	e.specFrameRet = map[int64]ir.Reg{}
-	st.PerLoop = e.tracker.perLoop
 	return e
 }
 
@@ -314,19 +306,6 @@ func (e *engine) fail(err error) {
 // Quit implements trace.Quitter: a broadcast pass sheds the engine once it
 // has aborted (its Event is a no-op from then on).
 func (e *engine) Quit() bool { return e.failure != nil }
-
-// frameOf returns the linkage record of frame, consulting the one-entry
-// memo before the map.
-func (e *engine) frameOf(frame int64) *engFrame {
-	if e.lastFI != nil && e.lastFrame == frame {
-		return e.lastFI
-	}
-	fi := e.frameInfo[frame]
-	if fi != nil {
-		e.lastFrame, e.lastFI = frame, fi
-	}
-	return fi
-}
 
 // Event implements trace.Handler: buffer the event and simulate as far as
 // the lookahead window allows. Events whose coordinates do not resolve to a
@@ -449,11 +428,6 @@ func (e *engine) step() {
 			clear(e.chainSSB)
 		}
 	case ir.Ret:
-		// Propagate return value readiness to the caller's pipeline view.
-		fi := e.frameInfo[ev.Frame]
-		if fi != nil && fi.parent >= 0 && fi.retDst != ir.NoReg {
-			e.main.setReady(fi.parent, fi.retDst, complete, false)
-		}
 		e.main.dropFrame(ev.Frame)
 	}
 	e.pos++
@@ -465,33 +439,19 @@ func (e *engine) step() {
 // absolute trace index, so threads forked later in the trace (whose
 // register copy already reflects earlier events) skip them.
 func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
-	fi := e.frameOf(ev.Frame)
-	if fi == nil {
-		if n := len(e.framePool); n > 0 {
-			fi = e.framePool[n-1]
-			e.framePool = e.framePool[:n-1]
-		} else {
-			fi = &engFrame{}
-		}
-		*fi = engFrame{fn: ev.Func, parent: -1, retDst: ir.NoReg}
-		if len(e.frameTop) > 0 {
-			pf := e.frameTop[len(e.frameTop)-1]
-			pinfo := e.frameInfo[pf]
-			if pinfo != nil {
-				pin := e.lp.InstrAt(pinfo.fn, pinfo.lastID)
-				if pin.Op == ir.Call {
-					fi.parent = pf
-					fi.retDst = pin.Dst
-				}
-			}
-		}
-		e.frameInfo[ev.Frame] = fi
-		e.frameTop = append(e.frameTop, ev.Frame)
-		e.lastFrame, e.lastFI = ev.Frame, fi
+	fr, _ := e.walk.Step(ev.Func, ev.Frame, ev.ID)
+	for _, a := range e.walk.Opened() {
+		a.X = e.loopStatsOf(fr.Fn, a.Loop)
 	}
-	fi.lastID = ev.ID
-
-	e.curLoop = e.tracker.observe(ev.Func, ev.Frame, ev.ID, in.Op == ir.Ret)
+	// Arrival at any enclosing loop's iteration start counts one iteration
+	// of the innermost loop.
+	loops := e.walk.Funcs[fr.Fn].Loops
+	for _, a := range fr.Acts {
+		if loops[a.Loop].StartID == ev.ID {
+			fr.Acts[len(fr.Acts)-1].X.Iterations++
+			break
+		}
+	}
 
 	for _, s := range e.specs {
 		if pos <= s.forkPos {
@@ -507,9 +467,9 @@ func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
 			s.stores = append(s.stores, storeRec{addr: ev.Addr, time: e.main.now()})
 		case ir.Ret:
 			// A return into the loop frame writes the call's destination.
-			if fi.parent == s.frame && fi.retDst != ir.NoReg && int(fi.retDst) < len(s.mainRegs) {
-				s.mainRegs[fi.retDst] = ev.Val
-				s.written[fi.retDst] = true
+			if returnsInto(fr, s.frame) && int(fr.RetDst) < len(s.mainRegs) {
+				s.mainRegs[fr.RetDst] = ev.Val
+				s.written[fr.RetDst] = true
 			}
 		}
 		if ev.Frame == s.frame {
@@ -521,31 +481,62 @@ func (e *engine) bookkeep(ev *trace.Event, in *ir.Instr, pos int64) {
 	}
 
 	if in.Op == ir.Ret {
-		for i := len(e.frameTop) - 1; i >= 0; i-- {
-			if e.frameTop[i] == ev.Frame {
-				e.frameTop = append(e.frameTop[:i], e.frameTop[i+1:]...)
-				break
-			}
-		}
-		delete(e.frameInfo, ev.Frame)
-		if e.lastFI == fi {
-			e.lastFI = nil
-		}
-		e.framePool = append(e.framePool, fi)
+		e.walk.Return(fr)
 	}
+}
+
+// returnsInto reports whether fr's return value lands in a register of
+// frame: fr was called from frame by a Call with a destination.
+func returnsInto(fr *walk.Frame[struct{}, *LoopStats], frame int64) bool {
+	return fr.Parent != nil && fr.Parent.ID == frame && fr.RetDst != ir.NoReg
+}
+
+// loopStatsOf returns the stats of loop id of function fn. Loop identity
+// is the (function, header label) pair, with the transformation's
+// "spt.start." prefix stripped so baseline and SPT runs of the same
+// benchmark share keys.
+func (e *engine) loopStatsOf(fn, id int32) *LoopStats {
+	if ls := e.loopStats[fn][id]; ls != nil {
+		return ls
+	}
+	f := e.walk.Funcs[fn]
+	k := profiler.LoopKey{Func: f.IR.Name, Header: NormalizeHeader(f.IR.Blocks[f.Loops[id].Header].Label)}
+	ls := e.stats.PerLoop[k]
+	if ls == nil {
+		ls = &LoopStats{Key: k}
+		e.stats.PerLoop[k] = ls
+	}
+	e.loopStats[fn][id] = ls
+	return ls
+}
+
+// curLoop returns the innermost active loop's stats, or nil.
+func (e *engine) curLoop() *LoopStats {
+	if n := len(e.walk.Active); n > 0 {
+		return e.walk.Active[n-1].X
+	}
+	return nil
+}
+
+// NormalizeHeader strips the SPT transformation prefix from a header label.
+func NormalizeHeader(label string) string {
+	if s, ok := strings.CutPrefix(label, "spt.start."); ok {
+		return s
+	}
+	return label
 }
 
 // attributeCycles charges main-pipeline progress since the last event to
 // every active loop (inclusive attribution: a loop's cycles include its
-// callees' loops, mirroring the profiler's coverage accounting).
+// callees' loops, matching the profiler's coverage accounting).
 func (e *engine) attributeCycles() {
 	now := e.main.now()
 	if now <= e.lastCm {
 		return
 	}
 	d := now - e.lastCm
-	for _, a := range e.tracker.active {
-		a.Cycles += d
+	for _, a := range e.walk.Active {
+		a.X.Cycles += d
 	}
 	e.lastCm = now
 }
@@ -587,7 +578,7 @@ func (e *engine) handleForkFrom(ev *trace.Event, frame int64, complete, forkPos,
 		e.stats.NoForks++
 		return
 	}
-	e.armThread(ev, frame, complete, forkPos, bi, startID, startPos, e.curLoop)
+	e.armThread(ev, frame, complete, forkPos, bi, startID, startPos, e.curLoop())
 }
 
 // findStart locates the start-point: the stride-th next occurrence of the

@@ -240,9 +240,8 @@ func (e *engine) absorb(entries []srbEntry, s *specThread) {
 		in := e.lp.InstrAt(ev.Func, ev.ID)
 		if regs != nil {
 			if in.Op == ir.Ret {
-				if fi := e.frameOf(ev.Frame); fi != nil && fi.parent == s.frame &&
-					fi.retDst != ir.NoReg && int(fi.retDst) < len(regs) {
-					regs[fi.retDst] = ev.Val
+				if fr := e.walk.Lookup(ev.Frame); fr != nil && returnsInto(fr, s.frame) && int(fr.RetDst) < len(regs) {
+					regs[fr.RetDst] = ev.Val
 				}
 			}
 			if ev.Frame == s.frame {

@@ -8,12 +8,13 @@ package profiler
 
 import (
 	"context"
+	"slices"
 
-	"repro/internal/cfg"
 	"repro/internal/ddg"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/trace"
+	"repro/internal/walk"
 )
 
 // LoopKey stably identifies a loop by function name and header label; it
@@ -154,37 +155,32 @@ type Profile struct {
 // Loop returns the profile of the given loop (nil if never executed).
 func (p *Profile) Loop(k LoopKey) *LoopProfile { return p.Loops[k] }
 
-// staticLoop is the per-function static description the collector consults.
+// staticLoop is the profiler's view of one loop; statics are indexed by
+// function and dense loop id.
 type staticLoop struct {
-	key        LoopKey
-	header     int
-	start      int // start-point block; == header for non-candidates
-	startID0   int // first instruction id of the start block
-	candidate  bool
-	loop       *cfg.Loop
-	numRegs    int
-	depthIndex int // nesting position within the frame's loop chain
+	key       LoopKey
+	startID0  int32 // first instruction id of the iteration start block
+	candidate bool
+	numRegs   int
+	prof      *LoopProfile // created when the loop is first entered
 }
 
-type funcStatics struct {
-	f *ir.Func
-	// loopsAtBlock[b] lists the loops containing block b, outermost first.
-	loopsAtBlock [][]*staticLoop
-	blockOf      []int32
+// frameState is the profiler's per-frame data: a shadow register file.
+type frameState struct {
+	regs  []int64
+	known []bool
 }
 
-// activation is one dynamic instance of a loop.
+// activation is the profiler's data for one dynamic instance of a loop.
 type activation struct {
-	sl    *staticLoop
-	prof  *LoopProfile
-	frame int64
-	ctx   int // last body-instruction id seen in the loop's own frame
+	sl   *staticLoop
+	prof *LoopProfile
+	ctx  int // last body-instruction id seen in the loop's own frame
 
-	iter       int64
-	prevSnap   []int64
-	prevKnown  []bool
-	snapValid  bool
-	written []bool // regs written this iteration (dense; nil for non-candidates)
+	prevSnap  []int64
+	prevKnown []bool
+	snapValid bool
+	written   []bool // regs written this iteration (dense; nil for non-candidates)
 
 	// Cross-iteration store tracking. One generational map replaces the
 	// classic prev/cur pair: every store is tagged with the iteration
@@ -205,39 +201,17 @@ type storeGen struct {
 	gen uint64
 }
 
-type frameState struct {
-	fi    int32
-	regs  []int64
-	known []bool
-	acts  []*activation // loop activations opened by this frame
-	prevB int32         // previous block index, -1 initially
-
-	lastID int32 // last instruction id seen in this frame
-	parent *frameState
-	// retDst is the caller register that receives this frame's return
-	// value (the Dst of the Call that created it), or NoReg.
-	retDst ir.Reg
-}
+type (
+	frame = walk.Frame[frameState, activation]
+	act   = walk.Act[frameState, activation]
+)
 
 // collector implements trace.Handler.
 type collector struct {
 	lp      *interp.Program
-	statics []*funcStatics
+	w       *walk.Walker[frameState, activation]
+	statics [][]staticLoop
 	prof    *Profile
-
-	frames map[int64]*frameState
-	stack  []*frameState // call stack of frames with events seen
-	acts   []*activation // global activation stack (outermost first)
-
-	// Recycled records: call-heavy traces churn through frames and loop
-	// activations, so both are pooled for the lifetime of one collection.
-	framePool []*frameState
-	actPool   []*activation
-
-	// One-entry lookup memo: consecutive events overwhelmingly share a
-	// frame, so most Event calls skip the frames map.
-	lastFrame int64
-	lastFr    *frameState
 }
 
 // Collect runs the program and returns its profile. stepLimit bounds
@@ -250,9 +224,9 @@ func Collect(lp *interp.Program, stepLimit int64) (*Profile, error) {
 // profiling run aborts with a wrapped context error when ctx is done.
 func CollectContext(ctx context.Context, lp *interp.Program, stepLimit int64) (*Profile, error) {
 	c := &collector{
-		lp:     lp,
-		prof:   &Profile{Loops: map[LoopKey]*LoopProfile{}},
-		frames: map[int64]*frameState{},
+		lp:   lp,
+		w:    walk.New[frameState, activation](lp),
+		prof: &Profile{Loops: map[LoopKey]*LoopProfile{}},
 	}
 	c.buildStatics()
 	m := interp.New(lp)
@@ -269,75 +243,34 @@ func CollectContext(ctx context.Context, lp *interp.Program, stepLimit int64) (*
 	return c.prof, nil
 }
 
+// buildStatics keys every loop and marks the dependence-analyzable
+// candidates, whose iterations start at the DDG's start block; other loops
+// keep the walker's start.
 func (c *collector) buildStatics() {
-	p := lpIR(c.lp)
+	p := c.lp.IR
 	eff := ddg.ComputeEffects(p)
-	c.statics = make([]*funcStatics, len(p.Funcs))
-	for fi, f := range p.Funcs {
-		fs := &funcStatics{f: f, loopsAtBlock: make([][]*staticLoop, len(f.Blocks))}
-		fs.blockOf = make([]int32, f.NumInstrs())
-		for id := 0; id < f.NumInstrs(); id++ {
-			fs.blockOf[id] = int32(f.Linear[id].Block)
+	c.statics = make([][]staticLoop, len(c.w.Funcs))
+	for fi, fs := range c.w.Funcs {
+		f := fs.IR
+		loops := make([]staticLoop, len(fs.Loops))
+		for i, l := range fs.Loops {
+			loops[i] = staticLoop{
+				key:      LoopKey{Func: f.Name, Header: f.Blocks[l.Header].Label},
+				startID0: l.StartID,
+				numRegs:  f.NumRegs,
+			}
+			if a := ddg.Analyze(p, f, fs.Graph, l.CFG, eff); a != nil {
+				loops[i].candidate = true
+				loops[i].startID0 = int32(f.Blocks[a.StartBlock].Instrs[0].ID)
+			}
 		}
-		g, err := cfg.Build(f)
-		if err != nil {
-			// No CFG -> no loop statics for this function; events in it are
-			// still counted, just not attributed to loops.
-			c.statics[fi] = fs
-			continue
-		}
-		forest := cfg.FindLoops(g)
-		byLoop := map[*cfg.Loop]*staticLoop{}
-		for _, l := range forest.Loops {
-			sl := &staticLoop{
-				key:     LoopKey{Func: f.Name, Header: f.Blocks[l.Header].Label},
-				header:  l.Header,
-				start:   l.Header,
-				loop:    l,
-				numRegs: f.NumRegs,
-			}
-			if a := ddg.Analyze(p, f, g, l, eff); a != nil {
-				sl.candidate = true
-				sl.start = a.StartBlock
-			} else if term := f.Blocks[l.Header].Term(); term.Op == ir.Br {
-				// Non-candidate while-shaped loop: count iterations at the
-				// body entry so the final exit test is not an iteration.
-				t1, t2 := f.BlockIndex(term.Target), f.BlockIndex(term.Target2)
-				switch {
-				case l.Contains(t1) && !l.Contains(t2):
-					sl.start = t1
-				case l.Contains(t2) && !l.Contains(t1):
-					sl.start = t2
-				}
-			}
-			sl.startID0 = f.Blocks[sl.start].Instrs[0].ID
-			byLoop[l] = sl
-		}
-		for b := range f.Blocks {
-			// Chain of loops containing b, outermost first.
-			var chain []*staticLoop
-			for l := forest.InnermostAt[b]; l != nil; l = l.Parent {
-				chain = append(chain, byLoop[l])
-			}
-			for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-				chain[i], chain[j] = chain[j], chain[i]
-			}
-			for d, sl := range chain {
-				sl.depthIndex = d
-			}
-			fs.loopsAtBlock[b] = chain
-		}
-		c.statics[fi] = fs
+		c.statics[fi] = loops
 	}
 }
 
-// lpIR returns the ir.Program behind a loaded program.
-func lpIR(lp *interp.Program) *ir.Program { return lp.IR }
-
 func (c *collector) loopProfile(sl *staticLoop) *LoopProfile {
-	p := c.prof.Loops[sl.key]
-	if p == nil {
-		p = &LoopProfile{
+	if sl.prof == nil {
+		sl.prof = &LoopProfile{
 			Key:          sl.key,
 			Exec:         map[int]int64{},
 			RegChange:    map[ir.Reg]int64{},
@@ -346,9 +279,9 @@ func (c *collector) loopProfile(sl *staticLoop) *LoopProfile {
 			Values:       map[ir.Reg]*ValueStats{},
 			CalleeCycles: map[int]int64{},
 		}
-		c.prof.Loops[sl.key] = p
+		c.prof.Loops[sl.key] = sl.prof
 	}
-	return p
+	return sl.prof
 }
 
 // Event implements trace.Handler.
@@ -358,241 +291,161 @@ func (c *collector) Event(ev *trace.Event) {
 	c.prof.TotalInstrs++
 	c.prof.TotalCycles += lat
 
-	var fr *frameState
-	if c.lastFr != nil && c.lastFrame == ev.Frame {
-		fr = c.lastFr
-	} else {
-		fr = c.frames[ev.Frame]
+	fr, opened := c.w.Step(ev.Func, ev.Frame, ev.ID)
+	if opened {
+		// A recycled record keeps its storage; only the contents reset.
+		n := c.w.Funcs[ev.Func].IR.NumRegs
+		fr.X.regs, fr.X.known = cleared(fr.X.regs, n), cleared(fr.X.known, n)
 	}
-	if fr == nil {
-		fs := c.statics[ev.Func]
-		fr = c.grabFrame(ev.Func, fs.f.NumRegs)
-		// Link to the caller so the Call's destination register can be
-		// updated when this frame returns (the Call event precedes the
-		// callee's events and cannot carry the return value itself).
-		if len(c.stack) > 0 {
-			parent := c.stack[len(c.stack)-1]
-			pin := c.statics[parent.fi].f.InstrByID(int(parent.lastID))
-			if pin.Op == ir.Call {
-				fr.parent = parent
-				fr.retDst = pin.Dst
-			}
-		}
-		c.frames[ev.Frame] = fr
-		c.stack = append(c.stack, fr)
-	}
-	c.lastFrame, c.lastFr = ev.Frame, fr
-	fr.lastID = ev.ID
-	fs := c.statics[ev.Func]
-	blk := fs.blockOf[ev.ID]
-
-	// Maintain this frame's loop activations on block transitions.
-	if blk != fr.prevB {
-		c.syncActivations(fr, ev.Frame, int(blk))
-		fr.prevB = blk
+	if opened := c.w.Opened(); len(opened) > 0 {
+		c.openActivations(opened)
 	}
 	// Iteration boundary: execution of the first instruction of a loop's
 	// start-point block (robust even for single-block loops, where the back
 	// edge re-enters the same block).
-	for _, a := range fr.acts {
-		if int(ev.ID) == a.sl.startID0 {
-			c.iterationBoundary(fr, a)
+	for _, a := range fr.Acts {
+		if ev.ID == a.X.sl.startID0 {
+			c.iterationBoundary(fr, &a.X)
 		}
 	}
 
 	// Attribute inclusive counts and contexts to all active activations.
-	for _, a := range c.acts {
-		a.prof.InclInstrs++
-		a.prof.InclCycles += lat
-		if a.frame == ev.Frame {
-			a.ctx = int(ev.ID)
-			a.prof.Exec[int(ev.ID)]++
-		} else if a.ctx >= 0 {
-			a.prof.CalleeCycles[a.ctx] += lat
+	for _, a := range c.w.Active {
+		x := &a.X
+		x.prof.InclInstrs++
+		x.prof.InclCycles += lat
+		if a.Frame == fr {
+			x.ctx = int(ev.ID)
+			x.prof.Exec[int(ev.ID)]++
+		} else if x.ctx >= 0 {
+			x.prof.CalleeCycles[x.ctx] += lat
 		}
 	}
 
 	// Candidate-loop dependence tracking.
 	switch in.Op {
 	case ir.Store:
-		for _, a := range c.acts {
-			if a.sl.candidate && a.stores != nil {
-				a.stores[ev.Addr] = storeGen{ctx: a.ctx, gen: a.storeGen}
+		for _, a := range c.w.Active {
+			if x := &a.X; x.sl.candidate && x.stores != nil {
+				x.stores[ev.Addr] = storeGen{ctx: x.ctx, gen: x.storeGen}
 			}
 		}
 	case ir.Load:
-		for _, a := range c.acts {
-			if !a.sl.candidate || a.stores == nil {
+		for _, a := range c.w.Active {
+			x := &a.X
+			if !x.sl.candidate || x.stores == nil {
 				continue
 			}
-			if s, ok := a.stores[ev.Addr]; ok {
-				if s.gen == a.storeGen {
+			if s, ok := x.stores[ev.Addr]; ok {
+				if s.gen == x.storeGen {
 					continue // same-iteration dependence: always satisfied
 				}
-				if s.gen == a.storeGen-1 {
-					a.prof.MemDep[[2]int{s.ctx, a.ctx}]++
+				if s.gen == x.storeGen-1 {
+					x.prof.MemDep[[2]int{s.ctx, x.ctx}]++
 				}
 			}
 		}
 	case ir.Ret:
 		// Propagate the return value into the caller's shadow register
 		// file, then close the frame.
-		if fr.parent != nil && fr.retDst != ir.NoReg {
-			p := fr.parent
-			p.regs[fr.retDst] = ev.Val
-			p.known[fr.retDst] = true
-			for _, a := range c.acts {
-				if a.written != nil && int(fr.retDst) < len(a.written) && c.frames[a.frame] == p {
-					a.written[fr.retDst] = true
+		if p := fr.Parent; p != nil && fr.RetDst != ir.NoReg {
+			p.X.regs[fr.RetDst] = ev.Val
+			p.X.known[fr.RetDst] = true
+			for _, a := range c.w.Active {
+				if w := a.X.written; w != nil && int(fr.RetDst) < len(w) && a.Frame == p {
+					w[fr.RetDst] = true
 				}
 			}
 		}
-		c.closeFrame(fr, ev.Frame)
-		delete(c.frames, ev.Frame)
-		c.lastFr = nil
-		c.framePool = append(c.framePool, fr)
+		c.w.Return(fr)
 		return
 	}
 
 	// Shadow register file for value comparisons.
 	if d := in.Def(); d != ir.NoReg {
-		fr.regs[d] = ev.Val
-		fr.known[d] = true
-		for _, a := range c.acts {
-			if a.frame == ev.Frame && a.written != nil && int(d) < len(a.written) {
-				a.written[d] = true
+		fr.X.regs[d] = ev.Val
+		fr.X.known[d] = true
+		for _, a := range c.w.Active {
+			if w := a.X.written; a.Frame == fr && w != nil && int(d) < len(w) {
+				w[d] = true
 			}
 		}
 	}
 }
 
-// grabFrame returns a reset frame record for function fi.
-func (c *collector) grabFrame(fi int32, numRegs int) *frameState {
-	if n := len(c.framePool); n > 0 {
-		fr := c.framePool[n-1]
-		c.framePool = c.framePool[:n-1]
-		fr.fi = fi
-		if cap(fr.regs) < numRegs || cap(fr.known) < numRegs {
-			fr.regs = make([]int64, numRegs)
-			fr.known = make([]bool, numRegs)
-		} else {
-			fr.regs = fr.regs[:numRegs]
-			clear(fr.regs)
-			fr.known = fr.known[:numRegs]
-			clear(fr.known)
-		}
-		fr.acts = fr.acts[:0]
-		fr.prevB = -1
-		fr.lastID = 0
-		fr.parent = nil
-		fr.retDst = ir.NoReg
-		return fr
-	}
-	return &frameState{
-		fi:     fi,
-		regs:   make([]int64, numRegs),
-		known:  make([]bool, numRegs),
-		prevB:  -1,
-		retDst: ir.NoReg,
-	}
+// cleared returns s resized to n zeroed elements, reusing its storage when
+// it is large enough.
+func cleared[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
-// grabActivation returns a reset activation for one dynamic loop entry. The
-// iteration-snapshot buffers and candidate-tracking maps keep their storage;
-// snapValid=false and cleared maps make the record indistinguishable from a
-// fresh one.
-func (c *collector) grabActivation(sl *staticLoop, frame int64) *activation {
-	var a *activation
-	if n := len(c.actPool); n > 0 {
-		a = c.actPool[n-1]
-		c.actPool = c.actPool[:n-1]
-		*a = activation{
+// openActivations initializes the activations the walker just opened. A
+// recycled record keeps its iteration-snapshot buffers and candidate-
+// tracking map; snapValid=false and the generation bump make it
+// indistinguishable from a fresh one.
+func (c *collector) openActivations(opened []*act) {
+	base := len(c.w.Active) - len(opened)
+	for i, a := range opened {
+		x := &a.X
+		sl := &c.statics[a.Frame.Fn][a.Loop]
+		*x = activation{
 			sl:        sl,
-			frame:     frame,
+			prof:      c.loopProfile(sl),
 			ctx:       -1,
-			prevSnap:  a.prevSnap,
-			prevKnown: a.prevKnown,
-			written:   a.written,
-			stores:    a.stores,
-			storeGen:  a.storeGen,
+			prevSnap:  x.prevSnap,
+			prevKnown: x.prevKnown,
+			written:   x.written,
+			stores:    x.stores,
+			storeGen:  x.storeGen,
 		}
-	} else {
-		a = &activation{sl: sl, frame: frame, ctx: -1}
-	}
-	a.prof = c.loopProfile(sl)
-	if sl.candidate {
-		if cap(a.written) < sl.numRegs {
-			a.written = make([]bool, sl.numRegs)
+		if sl.candidate {
+			x.written = cleared(x.written, sl.numRegs)
+			if x.stores == nil {
+				x.stores = map[int64]storeGen{}
+			}
+			// Advancing two generations makes every residual entry older
+			// than "previous iteration", so the reused map needs no clearing.
+			x.storeGen += 2
 		} else {
-			a.written = a.written[:sl.numRegs]
-			clear(a.written)
+			x.written, x.stores = nil, nil
 		}
-		if a.stores == nil {
-			a.stores = map[int64]storeGen{}
-		}
-		// Advancing two generations makes every residual entry older than
-		// "previous iteration", so the reused map needs no clearing.
-		a.storeGen += 2
-	} else {
-		a.written, a.stores = nil, nil
-	}
-	return a
-}
-
-// syncActivations updates the frame's loop activations when control moves
-// to block blk.
-func (c *collector) syncActivations(fr *frameState, frame int64, blk int) {
-	fs := c.statics[fr.fi]
-	chain := fs.loopsAtBlock[blk]
-	// Pop activations whose loop no longer contains blk.
-	keep := 0
-	for keep < len(fr.acts) && keep < len(chain) && fr.acts[keep].sl == chain[keep] {
-		keep++
-	}
-	for len(fr.acts) > keep {
-		c.popActivation(fr)
-	}
-	// Push new activations for newly entered loops.
-	for len(fr.acts) < len(chain) {
-		sl := chain[len(fr.acts)]
-		a := c.grabActivation(sl, frame)
 		// Dynamic (inter-procedural) nesting: the enclosing activation is
-		// whatever loop is on top of the global stack right now — it may
-		// live in a caller's function. Figure 6's accumulative coverage
-		// needs this to avoid double counting loops reached through calls.
-		if a.prof.Parent == nil && len(c.acts) > 0 {
-			pk := c.acts[len(c.acts)-1].prof.Key
-			if pk != a.prof.Key {
-				a.prof.Parent = &pk
+		// the one below on the global stack — it may live in a caller's
+		// function. Figure 6's accumulative coverage needs this to avoid
+		// double counting loops reached through calls.
+		if x.prof.Parent == nil && base+i > 0 {
+			pk := c.w.Active[base+i-1].X.prof.Key
+			if pk != x.prof.Key {
+				x.prof.Parent = &pk
 			}
 		}
-		a.prof.Entries++
-		fr.acts = append(fr.acts, a)
-		c.acts = append(c.acts, a)
+		x.prof.Entries++
 	}
 }
 
-func (c *collector) iterationBoundary(fr *frameState, a *activation) {
-	a.iter++
+func (c *collector) iterationBoundary(fr *frame, a *activation) {
 	a.prof.Iterations++
 	if !a.sl.candidate {
 		return
 	}
 	// Register change observation.
-	n := len(fr.regs)
+	regs, known := fr.X.regs, fr.X.known
+	n := len(regs)
 	if a.snapValid {
 		a.prof.RegSamples++
 		for r := 0; r < n; r++ {
-			if a.prevKnown[r] && fr.known[r] && fr.regs[r] != a.prevSnap[r] {
+			if a.prevKnown[r] && known[r] && regs[r] != a.prevSnap[r] {
 				a.prof.RegChange[ir.Reg(r)]++
 			}
-			if a.prevKnown[r] && fr.known[r] {
+			if a.prevKnown[r] && known[r] {
 				vs := a.prof.Values[ir.Reg(r)]
 				if vs == nil {
 					vs = newValueStats()
 					a.prof.Values[ir.Reg(r)] = vs
 				}
-				vs.observe(fr.regs[r] - a.prevSnap[r])
+				vs.observe(regs[r] - a.prevSnap[r])
 			}
 		}
 		for r, w := range a.written {
@@ -601,47 +454,11 @@ func (c *collector) iterationBoundary(fr *frameState, a *activation) {
 			}
 		}
 	}
-	if len(a.prevSnap) != n {
-		if cap(a.prevSnap) < n || cap(a.prevKnown) < n {
-			a.prevSnap = make([]int64, n)
-			a.prevKnown = make([]bool, n)
-		} else {
-			a.prevSnap = a.prevSnap[:n]
-			a.prevKnown = a.prevKnown[:n]
-		}
-	}
-	copy(a.prevSnap, fr.regs)
-	copy(a.prevKnown, fr.known)
+	a.prevSnap = append(a.prevSnap[:0], regs...)
+	a.prevKnown = append(a.prevKnown[:0], known...)
 	a.snapValid = true
 	clear(a.written)
 	// Rotate store generations: current becomes previous, entries two or
 	// more generations old fall out of scope without any map traffic.
 	a.storeGen++
-}
-
-func (c *collector) popActivation(fr *frameState) {
-	a := fr.acts[len(fr.acts)-1]
-	fr.acts = fr.acts[:len(fr.acts)-1]
-	// Remove from the global stack (it is the innermost for its frame; it
-	// may not be the global top if callees opened activations — but frames
-	// close before their callers, so scanning from the top is safe).
-	for i := len(c.acts) - 1; i >= 0; i-- {
-		if c.acts[i] == a {
-			c.acts = append(c.acts[:i], c.acts[i+1:]...)
-			break
-		}
-	}
-	c.actPool = append(c.actPool, a)
-}
-
-func (c *collector) closeFrame(fr *frameState, frame int64) {
-	for len(fr.acts) > 0 {
-		c.popActivation(fr)
-	}
-	for i := len(c.stack) - 1; i >= 0; i-- {
-		if c.stack[i] == fr {
-			c.stack = append(c.stack[:i], c.stack[i+1:]...)
-			break
-		}
-	}
 }
